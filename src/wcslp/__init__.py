@@ -16,9 +16,9 @@ from .realify import (RealChannel, RealDistortionMatrix, build_real_channel,
                       build_real_distortion, embed_vector, pair_rows,
                       t_transform, unembed_vector)
 from .solver import (ProblemInstance, SolveReport, SolverConfig, SolverState,
-                     approx_mu, apgd_t_step, count_secular_roots, mu_bracket,
-                     nominal_slp, phi, relaxed_objective, secular_value, solve,
-                     solve_mu, update_u, worst_case_w)
+                     apgd_t_step, count_secular_roots, mu_bracket, nominal_slp,
+                     phi, relaxed_objective, secular_value, solve, solve_mu,
+                     update_u, worst_case_w)
 
 __all__ = [
     "CiGeometry", "PskConstellation", "build_ci_geometry", "ci_margin",
@@ -27,9 +27,9 @@ __all__ = [
     "build_real_distortion", "embed_vector", "pair_rows", "t_transform",
     "unembed_vector",
     "ProblemInstance", "SolveReport", "SolverConfig", "SolverState",
-    "approx_mu", "apgd_t_step", "count_secular_roots", "mu_bracket",
-    "nominal_slp", "phi", "relaxed_objective", "secular_value", "solve",
-    "solve_mu", "update_u", "worst_case_w",
+    "apgd_t_step", "count_secular_roots", "mu_bracket", "nominal_slp", "phi",
+    "relaxed_objective", "secular_value", "solve", "solve_mu", "update_u",
+    "worst_case_w",
 ]
 
 __version__ = "0.1.0"

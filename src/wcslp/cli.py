@@ -22,7 +22,7 @@ from .simulator import (DISTORTION_PRESETS, SCHEMES, DistortionSpec,
                         MetricsRecord, SweepConfig, calibrate_epsilon,
                         run_sweep, sample_channel)
 from .solver import ProblemInstance, SolverConfig, solve
-from .validation import approx_gap_report, run_all
+from .validation import run_all
 
 CSV_HEADER = ("gamma_db,beta,scheme,mean_power,ber,mi_bits_per_user,"
               "energy_efficiency,blocks,symbols_per_block,solver_failures,seed")
@@ -77,7 +77,7 @@ _SCHEMA = {
     },
     "solver": {
         "max_iterations": int, "outer_tol": float, "mu_tol": float,
-        "root_method": str, "bracket_inset": float,
+        "bracket_inset": float,
     },
     "validate": {"seed": int, "quick": _parse_bool},
     "output": {"out": str},
@@ -216,7 +216,6 @@ def _effective_sweep_echo(config: SweepConfig) -> list[str]:
         "solver.max_iterations": config.solver.max_iterations,
         "solver.outer_tol": config.solver.outer_tol,
         "solver.mu_tol": config.solver.mu_tol,
-        "solver.root_method": config.solver.root_method,
         "solver.bracket_inset": config.solver.bracket_inset,
     }
     return [f"# {key} = {_fmt(value)}" for key, value in sorted(items.items())]
@@ -323,7 +322,6 @@ def cmd_validate(args) -> int:
     results = run_all(seed=seed, quick=quick)
     for res in results:
         print(res.line())
-    print(approx_gap_report(seed=seed + 10))
     out = args.out or data.get("output", {}).get("out")
     if out:
         doc = {"config": {"seed": seed, "quick": quick},

@@ -95,15 +95,14 @@ class CiGeometry:
     """Stacked CI geometry for one symbol slot across all users.
 
     a is the block-diagonal normal matrix, d the per-user SNR/noise scaling
-    diag(sigma_i*sqrt(gamma_i)) (x) I2, w the binary outer-point mask (the
-    identity for PSK, kept explicit so a_inv @ w @ t is formed literally),
-    and s the stacked (Re, Im) symbol vector.  Treat instances as immutable;
+    diag(sigma_i*sqrt(gamma_i)) (x) I2, and s the stacked (Re, Im) symbol
+    vector.  Every PSK point is an outer point, so the CI target is
+    d @ s + a_inv @ t with no outer-point mask.  Treat instances as immutable;
     they are shared freely across workers.
     """
 
     a: np.ndarray
     d: np.ndarray
-    w: np.ndarray
     s: np.ndarray
     gammas: np.ndarray
     sigmas: np.ndarray
@@ -126,7 +125,7 @@ class CiGeometry:
 
 def build_ci_geometry(symbols, gammas, sigmas,
                       constellation: PskConstellation) -> CiGeometry:
-    """Assemble A, D, W and s for given symbol indices and per-user targets."""
+    """Assemble A, D and s for given symbol indices and per-user targets."""
     symbols = np.atleast_1d(np.asarray(symbols, dtype=int))
     n_r = symbols.size
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
@@ -139,9 +138,8 @@ def build_ci_geometry(symbols, gammas, sigmas,
     for i, m in enumerate(symbols):
         a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = ci_normals(int(m), constellation)
     d = np.kron(np.diag(sigmas * np.sqrt(gammas)), np.eye(2))
-    w = np.eye(2 * n_r)
     s = embed_vector(constellation.points[symbols])
-    return CiGeometry(a=a, d=d, w=w, s=s, gammas=gammas, sigmas=sigmas,
+    return CiGeometry(a=a, d=d, s=s, gammas=gammas, sigmas=sigmas,
                       symbols=symbols, constellation=constellation)
 
 

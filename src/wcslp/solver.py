@@ -3,7 +3,7 @@
 The relaxed design problem is
 
     min_{u, t >= 0}  max_{||w|| <= eps}  ||G u + w||^2
-                     + beta * ||H (G u + w) - (D s + A^{-1} W t)||^2
+                     + beta * ||H (G u + w) - (D s + A^{-1} t)||^2
 
 solved by alternating three steps: the inner maximisation over w (exact, via
 the largest root of a secular equation), one accelerated projected-gradient
@@ -16,24 +16,31 @@ q = P G u - H^T Phi(t); the multiplier mu is the largest root of
 which lies in (lam_bar_max, ||q||/eps + lam_bar_max] where
 lam_bar_max = ||H||^2 + 1/beta, and f is strictly decreasing there, so a
 bisection search is exact.
+
+One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
+share a channel; each step works on one row per slot.  :func:`solve` runs it
+on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
+``apgd_t_step`` and ``update_u`` evaluate its steps on a single row.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .constellation import CiGeometry
 from .realify import RealChannel, RealDistortionMatrix
 
-_TINY = 1e-300
 # relative size of q below which the inner maximisation is treated as the
 # degenerate (pure eigenvector) case
 _DEGENERATE_RTOL = 1e-13
+# Up to this many rows the multiplier is found row by row; above it one
+# vectorised search serves all rows, since each numpy call costs microseconds
+# whatever its length.
+_FEW_ROWS = 4
 
 
 class SecularPoleError(ValueError):
@@ -46,12 +53,11 @@ class RootSearchError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Tunables of the outer loop and the scalar root search."""
+    """Tunables of the outer loop and the root search."""
 
     max_iterations: int = 5000
     outer_tol: float = 1e-8
-    mu_tol: float = 1e-12           # relative bisection tolerance on mu
-    root_method: str = "bisection"  # "bisection" | "closed-form-approx"
+    mu_tol: float = 1e-12           # relative tolerance on mu
     bracket_inset: float = 1e-10    # relative inset above the pole boundary
 
     def __post_init__(self) -> None:
@@ -59,25 +65,27 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if min(self.outer_tol, self.mu_tol, self.bracket_inset) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.root_method not in ("bisection", "closed-form-approx"):
-            raise ValueError(f"unknown root method {self.root_method!r}")
 
 
 @dataclass
 class SolverState:
-    """Iterates of the block coordinate loop."""
+    """One design's iterates, as :func:`apgd_t_step` takes them."""
 
     u: np.ndarray
     t: np.ndarray
     z: np.ndarray
     w: np.ndarray
-    mu: float | None = None
-    k: int = 0
 
 
 @dataclass
 class SolveReport:
-    """Final iterates plus per-run diagnostics."""
+    """Final iterates plus per-run diagnostics.
+
+    ``objective`` is the worst-case value of the returned (u, t): the relaxed
+    objective at the inner maximiser w of that design.  ``trace`` holds, per
+    iteration, the objective right after the u-update, where G u + w equals
+    P^{-1} H^T Phi(t) and w cancels: Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
+    """
 
     u: np.ndarray
     t: np.ndarray
@@ -112,6 +120,57 @@ def _apgd_constants(geometry: CiGeometry) -> _ApgdConstants:
                           b=b, a_inv_t=a_inv_t)
 
 
+def _diag_blocks(mats: np.ndarray) -> np.ndarray:
+    """2x2 diagonal blocks (S, n, 2, 2) of stacked block-diagonal matrices."""
+    s, n = mats.shape[0], mats.shape[1] // 2
+    return np.ascontiguousarray(np.einsum("sjajb->sjab", mats.reshape(s, n, 2, n, 2)))
+
+
+def _bmv(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix times vector, row by row."""
+    s, n = vec.shape[0], blocks.shape[1]
+    return (blocks @ vec.reshape(s, n, 2, 1)).reshape(s, 2 * n)
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis."""
+    return np.vecdot(x, x)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq(x))
+
+
+@dataclass
+class _Slots:
+    """CI constants of a stack of symbol slots, one row per slot.
+
+    The matrices are block diagonal with 2x2 blocks (one per user), so only
+    the blocks are kept.  The slack-step constants come from
+    :func:`_apgd_constants`.
+    """
+
+    ds: np.ndarray              # (S, 2 n_r)  D s
+    a_inv: np.ndarray           # (S, n_r, 2, 2)  A^{-1}
+    a_inv_t: np.ndarray         # A^{-T}
+    b: np.ndarray               # I - sigma_min^2 A^{-T} A^{-1}
+    sigma_min_sq: np.ndarray    # (S, 1)
+    momentum: np.ndarray        # (S, 1)
+
+    def take(self, rows) -> "_Slots":
+        return _Slots(**{name: value[rows] for name, value in vars(self).items()})
+
+
+def _slots(geometries) -> _Slots:
+    consts = [_apgd_constants(gm) for gm in geometries]
+    return _Slots(ds=np.stack([gm.d @ gm.s for gm in geometries]),
+                  a_inv=_diag_blocks(np.stack([gm.a_inv for gm in geometries])),
+                  a_inv_t=_diag_blocks(np.stack([c.a_inv_t for c in consts])),
+                  b=_diag_blocks(np.stack([c.b for c in consts])),
+                  sigma_min_sq=np.array([[c.sigma_min_sq] for c in consts]),
+                  momentum=np.array([[c.momentum] for c in consts]))
+
+
 @dataclass(repr=False)
 class ProblemInstance:
     """One symbol slot's worst-case design problem.
@@ -144,53 +203,24 @@ class ProblemInstance:
         if svals[-1] <= svals[0] * 1e-12:
             raise ValueError("distortion matrix must be invertible")
         self._g_lu = lu_factor(self.g)
-        self._init_channel_cache()
-        self._init_geometry_cache()
-
-    def _init_channel_cache(self) -> None:
+        self._getrs = get_lapack_funcs(("getrs",), self._g_lu)[0]
         self.hth = self.h.T @ self.h
-        evals, evecs = np.linalg.eigh(self.hth)
-        self.evals = evals
-        self.evecs = evecs
-        self.poles = evals + 1.0 / self.beta
-        self.lam_bar_max = float(evals[-1] + 1.0 / self.beta)
-
-    def _init_geometry_cache(self) -> None:
+        self.evals, self.evecs = np.linalg.eigh(self.hth)
+        self.poles = self.evals + 1.0 / self.beta
+        self.lam_bar_max = float(self.evals[-1] + 1.0 / self.beta)
         self.ds = self.geometry.d @ self.geometry.s
-        self.a_inv_w = self.geometry.a_inv @ self.geometry.w
-        self.apgd = _apgd_constants(self.geometry)
-
-    def with_geometry(self, geometry: CiGeometry) -> "ProblemInstance":
-        """Clone for a new symbol slot, reusing the channel factorisations."""
-        if geometry.n_r != self.channel.n_r:
-            raise ValueError("geometry / channel user-count mismatch")
-        clone = object.__new__(ProblemInstance)
-        clone.__dict__.update(self.__dict__)
-        clone.geometry = geometry
-        clone._init_geometry_cache()
-        return clone
-
-    # -- small linear-algebra helpers reused across the ops ---------------
-    def apply_p(self, x: np.ndarray) -> np.ndarray:
-        return self.hth @ x + x / self.beta
+        self.slots = _slots([self.geometry])
 
     def apply_p_inv(self, x: np.ndarray) -> np.ndarray:
         return self.evecs @ ((self.evecs.T @ x) / self.poles)
 
-    def solve_g(self, x: np.ndarray) -> np.ndarray:
-        return lu_solve(self._g_lu, x)
-
-    def phi_fast(self, t: np.ndarray) -> np.ndarray:
-        # same value as phi(t, self.geometry), skipping validation
-        return self.ds + self.a_inv_w @ t
-
 
 def phi(t, geometry: CiGeometry) -> np.ndarray:
-    """CI target vector D s + A^{-1} W t for a non-negative slack t."""
+    """CI target vector D s + A^{-1} t for a non-negative slack t."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("slack t must be componentwise non-negative")
-    return geometry.d @ geometry.s + geometry.a_inv @ (geometry.w @ t)
+    return geometry.d @ geometry.s + geometry.a_inv @ t
 
 
 def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
@@ -204,47 +234,23 @@ def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _q_vector(u, t, instance: ProblemInstance) -> np.ndarray:
-    gu = instance.g @ np.asarray(u, dtype=float)
-    return instance.apply_p(gu) - instance.h.T @ instance.phi_fast(np.asarray(t, dtype=float))
+# -- the three steps, on stacked rows (one row per symbol slot) -------------
+
+def _row(u, t, instance: ProblemInstance):
+    """(G u, Phi(t), Phi(t)^T H) of one design, as one-row arrays of the loop."""
+    t = np.asarray(t, dtype=float)[None]
+    phi_t = instance.slots.ds + _bmv(instance.slots.a_inv, t)
+    return np.asarray(u, dtype=float)[None] @ instance.g.T, phi_t, phi_t @ instance.h
 
 
-def _secular_parts(u, t, instance):
-    q = _q_vector(u, t, instance)
-    qt = instance.evecs.T @ q
-    return q, qt * qt
-
-
-def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
-                        eps: float) -> float:
-    diff = poles - mu
-    if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
-        raise SecularPoleError(f"mu={mu!r} is within rounding of a pole of f")
-    return float(np.sum(qt2 / (diff * diff)) - eps * eps)
-
-
-def secular_value(mu: float, u, t, instance: ProblemInstance) -> float:
-    """Secular function f(mu) = q^T (P - mu I)^{-2} q - eps^2."""
-    _, qt2 = _secular_parts(u, t, instance)
-    return _secular_from_parts(mu, qt2, instance.poles, instance.epsilon)
-
-
-def _q_scale(u, t, instance: ProblemInstance) -> float:
-    gu = instance.g @ np.asarray(u, dtype=float)
-    pg = instance.apply_p(gu)
-    ht_phi = instance.h.T @ phi(t, instance.geometry)
-    return max(1.0, float(np.linalg.norm(pg)), float(np.linalg.norm(ht_phi)))
-
-
-def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
-    """Root bracket (lam_bar_max, ||q||/eps + lam_bar_max] for the multiplier."""
-    if instance.epsilon <= 0:
-        raise ValueError("bracket undefined for epsilon = 0 (w is fixed to 0)")
-    q = _q_vector(u, t, instance)
-    qn = float(np.linalg.norm(q))
-    if qn <= _DEGENERATE_RTOL * _q_scale(u, t, instance):
-        raise ValueError("degenerate q = 0: no secular root exists")
-    return instance.lam_bar_max, qn / instance.epsilon + instance.lam_bar_max
+def _w_parts(instance: ProblemInstance, gu, ht_phi):
+    """q in the eigenbasis of P, its squares, and the rows where q = 0."""
+    pgu = gu @ instance.hth.T + gu / instance.beta
+    qt = (pgu - ht_phi) @ instance.evecs
+    qt2 = qt * qt
+    # ||q|| <= rtol * max(1, ||P G u||, ||H^T Phi||), squared
+    scale2 = np.maximum(1.0, np.maximum(_sq(pgu), _sq(ht_phi)))
+    return qt, qt2, qt2.sum(axis=1) <= _DEGENERATE_RTOL ** 2 * scale2
 
 
 def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
@@ -252,8 +258,10 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
     """Largest secular root from precomputed eigen-parts.
 
     Bisection on the analytic bracket, with a warm-start window around
-    ``mu_hint`` and a bracket-safeguarded Newton finish (f is convex and
-    strictly decreasing right of the poles, so Newton stays bracketed).
+    ``mu_hint`` and a bracket-safeguarded Newton finish.  f is convex and
+    strictly decreasing right of the poles, and f(lo) > 0 throughout, so
+    Newton started at lo climbs monotonically to the root; a warm start in
+    the bracket is a better start still.
     """
     eps2 = eps * eps
     qn = math.sqrt(float(qt2.sum()))
@@ -294,9 +302,12 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
         if f_hi > 0.0:
             raise RootSearchError(
                 f"secular function positive beyond the bracket: lam_bar_max={lam!r}")
-        if mu_hint is not None and lo < mu_hint < hi:
+        if mu_hint is not None and lo < mu_hint:
             # warm start from the previous outer iteration: probe a small
-            # window around the hint to collapse most of the bracket
+            # window around the hint to collapse most of the bracket.  The
+            # hint may exceed hi by rounding: hi is the root when q lies on
+            # the top eigenvector, as it does in the two-cycle.
+            mu_hint = min(mu_hint, hi)
             if f(mu_hint) > 0.0:
                 lo = mu_hint
                 near = mu_hint * (1.0 + 1e-4)
@@ -323,7 +334,9 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
         raise RootSearchError(
             f"bisection failed to converge: bracket=({lo!r}, {hi!r})")
 
-    mu = 0.5 * (lo + hi)
+    # Newton from the warm start if it is still in the bracket: it is within
+    # rounding of the root on most outer iterations
+    mu = mu_hint if mu_hint is not None and lo <= mu_hint <= hi else lo
     for _ in range(60):  # bracket-safeguarded Newton to the mu tolerance
         diff = poles - mu
         r = qt2 / (diff * diff)
@@ -334,71 +347,212 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
             hi = min(hi, mu)
         slope = 2.0 * float((r / diff).sum())
         nxt = mu - f_mu / slope if slope != 0.0 else mu
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
         if abs(nxt - mu) <= config.mu_tol * max(1.0, abs(mu)):
-            mu = nxt
+            # converged; at the rounding floor mu is itself a bracket end
+            if lo <= nxt <= hi:
+                mu = nxt
             break
-        mu = nxt
+        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     return float(mu)
+
+
+def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
+                config: SolverConfig) -> np.ndarray:
+    """:func:`_root_from_parts` vectorised over rows: bisection to the same
+    width, then the same bracket-safeguarded Newton finish."""
+    poles, eps, lam = instance.poles, instance.epsilon, instance.lam_bar_max
+    eps2 = eps * eps
+
+    def f(mu):
+        diff = poles - mu[:, None]
+        return np.sum(qt2 / (diff * diff), axis=1) - eps2
+
+    mu = np.empty(len(qt2))
+    lo = np.full(len(qt2), lam * (1.0 + config.bracket_inset))
+    squeezed = f(lo) <= 0.0
+    if np.any(squeezed):
+        # root squeezed against the pole: the row-wise search scans for it
+        for j in np.flatnonzero(squeezed):
+            mu[j] = _root_from_parts(qt2[j], poles, eps, lam, config)
+        rows = np.flatnonzero(~squeezed)
+        if rows.size == 0:
+            return mu
+        qt2, hint, lo = qt2[rows], hint[rows], lo[rows]
+    hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
+
+    # warm start: probe a small window around the previous multiplier
+    hint = np.minimum(hint, hi)         # as in _root_from_parts
+    ok = hint > lo                      # False for NaN (no previous multiplier)
+    if np.any(ok):
+        pos = ok & (f(np.where(ok, hint, lo)) > 0.0)
+        lo = np.where(pos, hint, lo)
+        hi = np.where(ok & ~pos, hint, hi)
+        near = np.where(pos, hint * (1.0 + 1e-4), hint * (1.0 - 1e-4))
+        ok &= (near > lo) & (near < hi)
+        if np.any(ok):
+            f_near = f(np.where(ok, near, lo))
+            hi = np.where(ok & pos & (f_near <= 0.0), near, hi)
+            lo = np.where(ok & ~pos & (f_near > 0.0), near, lo)
+
+    floor = config.mu_tol * np.maximum(1.0, hi)
+    for _ in range(300):
+        run = hi - lo > np.maximum(floor, 1e-3 * np.maximum(1.0, hi))
+        if not np.any(run):
+            break
+        mid = 0.5 * (lo + hi)
+        pos = f(mid) > 0.0
+        lo = np.where(run & pos, mid, lo)
+        hi = np.where(run & ~pos, mid, hi)
+    else:
+        raise RootSearchError("bisection failed to converge")
+
+    root = np.where((lo <= hint) & (hint <= hi), hint, lo)
+    pending = np.ones(len(root), dtype=bool)
+    for _ in range(60):
+        diff = poles - root[:, None]
+        r = qt2 / (diff * diff)
+        f_mu = r.sum(axis=1) - eps2
+        pos = f_mu > 0.0
+        lo = np.where(pos, np.maximum(lo, root), lo)
+        hi = np.where(pos, hi, np.minimum(hi, root))
+        slope = 2.0 * (r / diff).sum(axis=1)
+        nxt = root - f_mu / slope    # slope < 0: some q component is nonzero
+        done = np.abs(nxt - root) <= config.mu_tol * np.maximum(1.0, np.abs(root))
+        inside = np.where(done, (lo <= nxt) & (nxt <= hi), (lo < nxt) & (nxt < hi))
+        nxt = np.where(inside, nxt, np.where(done, root, 0.5 * (lo + hi)))
+        root = np.where(pending, nxt, root)
+        pending &= ~done
+        if not pending.any():
+            break
+    if np.any(squeezed):
+        mu[rows] = root
+        return mu
+    return root
+
+
+def _multipliers(qt2, degen, hint, instance: ProblemInstance,
+                 config: SolverConfig) -> np.ndarray:
+    """Largest secular root per row; lam_bar_max where q = 0."""
+    lam = instance.lam_bar_max
+    if len(qt2) <= _FEW_ROWS:
+        return np.array([lam if flat else _root_from_parts(
+            q, instance.poles, instance.epsilon, lam, config, h)
+            for q, flat, h in zip(qt2, degen.tolist(), hint.tolist())])
+    mu = np.full(len(qt2), lam)
+    rows = np.flatnonzero(~degen)
+    if rows.size:
+        mu[rows] = _roots_many(qt2[rows], hint[rows], instance, config)
+    return mu
+
+
+def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
+    # q = 0 leaves only the quadratic term: the maximiser is the scaled top
+    # eigenvector of P; evaluate both signs in case of numerical asymmetry
+    # (ties within rounding resolve to +).
+    cand = instance.epsilon * instance.evecs[:, -1]
+    obj = []
+    for x in (gu + cand, gu - cand):
+        resid = x @ instance.h.T - phi_t
+        obj.append(np.sum(x * x, axis=1) + instance.beta * np.sum(resid * resid, axis=1))
+    return np.where(obj[1] > obj[0] * (1.0 + 1e-12), -1.0, 1.0)[:, None] * cand
+
+
+def _maximisers(qt, mu, degen, gu, phi_t, instance: ProblemInstance) -> np.ndarray:
+    """Inner maximiser w = -(P - mu I)^{-1} q per row."""
+    if not np.count_nonzero(degen):
+        return (qt / (mu[:, None] - instance.poles)) @ instance.evecs.T
+    w = np.empty_like(qt)
+    live = ~degen
+    w[live] = (qt[live] / (mu[live, None] - instance.poles)) @ instance.evecs.T
+    w[degen] = _degenerate_w(gu[degen], phi_t[degen], instance)
+    return w
+
+
+def _w_step(instance, gu, phi_t, ht_phi, hint, config, q_zero=False):
+    """Inner maximisation over w: (w, mu, rows where q = 0).
+
+    ``q_zero`` says q = 0 holds exactly, whatever its rounded value.
+    """
+    qt, qt2, degen = _w_parts(instance, gu, ht_phi)
+    if q_zero:
+        degen = np.ones_like(degen)
+    mu = _multipliers(qt2, degen, hint, instance, config)
+    return _maximisers(qt, mu, degen, gu, phi_t, instance), mu, degen
+
+
+def _t_step(instance, slots: _Slots, x, t, z):
+    """Accelerated projected-gradient step on the slack, given x = G u + w."""
+    r = x @ instance.h.T - slots.ds
+    t_new = np.maximum(_bmv(slots.b, z) + slots.sigma_min_sq * _bmv(slots.a_inv_t, r), 0.0)
+    return t_new, t_new + slots.momentum * (t_new - t)
+
+
+def _u_step(instance, slots: _Slots, t, w):
+    """Closed-form u; also returns y = P^{-1} H^T Phi(t), Phi(t) and Phi(t)^T H."""
+    phi_t = slots.ds + _bmv(slots.a_inv, t)
+    ht_phi = phi_t @ instance.h
+    y = ((ht_phi @ instance.evecs) / instance.poles) @ instance.evecs.T
+    u, _ = instance._getrs(*instance._g_lu, (y - w).T, overwrite_b=True)
+    return u.T, y, phi_t, ht_phi
+
+
+# -- single-design views of the steps ---------------------------------------
+
+def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
+                        eps: float) -> float:
+    diff = poles - mu
+    if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
+        raise SecularPoleError(f"mu={mu!r} is within rounding of a pole of f")
+    return float(np.sum(qt2 / (diff * diff)) - eps * eps)
+
+
+def _one_row_parts(u, t, instance: ProblemInstance):
+    gu, phi_t, ht_phi = _row(u, t, instance)
+    return (gu, phi_t) + _w_parts(instance, gu, ht_phi)
+
+
+def secular_value(mu: float, u, t, instance: ProblemInstance) -> float:
+    """Secular function f(mu) = q^T (P - mu I)^{-2} q - eps^2."""
+    qt2 = _one_row_parts(u, t, instance)[3]
+    return _secular_from_parts(mu, qt2[0], instance.poles, instance.epsilon)
+
+
+def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
+    """Root bracket (lam_bar_max, ||q||/eps + lam_bar_max] for the multiplier."""
+    if instance.epsilon <= 0:
+        raise ValueError("bracket undefined for epsilon = 0 (w is fixed to 0)")
+    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    if degen[0]:
+        raise ValueError("degenerate q = 0: no secular root exists")
+    qn = math.sqrt(float(qt2.sum()))
+    return instance.lam_bar_max, qn / instance.epsilon + instance.lam_bar_max
 
 
 def solve_mu(u, t, instance: ProblemInstance, config: SolverConfig | None = None,
              mu_hint: float | None = None) -> float:
-    """Largest root of the secular equation, located by a bisection search.
+    """Largest root of the secular equation, as the solver loop finds it.
 
     f is strictly decreasing right of the pole boundary, so the sign of f
-    steers the bisection on the bracket; bracket-safeguarded Newton steps
+    steers a bisection on the bracket; bracket-safeguarded Newton steps
     finish the root to the configured tolerance.  Returns lam_bar_max for the
     degenerate q = 0 case (the caller then builds w from the top eigenvector
     of P).
     """
-    config = config or SolverConfig()
     if instance.epsilon <= 0:
         raise ValueError("solve_mu requires epsilon > 0")
-    q, qt2 = _secular_parts(u, t, instance)
-    qn = float(np.linalg.norm(q))
-    if qn <= _DEGENERATE_RTOL * _q_scale(u, t, instance):
-        return instance.lam_bar_max
-    return _root_from_parts(qt2, instance.poles, instance.epsilon,
-                            instance.lam_bar_max, config, mu_hint)
-
-
-def approx_mu(u, t, instance: ProblemInstance) -> float:
-    """Closed-form small-eps approximation 2 * (||P q||^2 / eps^2)^(1/3)."""
-    if instance.epsilon <= 0:
-        raise ValueError("approx_mu requires epsilon > 0")
-    q = _q_vector(u, t, instance)
-    pq = instance.apply_p(q)
-    ratio = float(np.dot(pq, pq)) / instance.epsilon ** 2
-    return 2.0 * ratio ** (1.0 / 3.0)
-
-
-def _degenerate_w(u, t, instance: ProblemInstance) -> np.ndarray:
-    # q = 0 leaves only the quadratic term: the maximiser is the scaled top
-    # eigenvector of P; evaluate both signs in case of numerical asymmetry
-    # (ties within rounding resolve to + so all code paths agree).
-    v = instance.evecs[:, -1]
-    cand = instance.epsilon * v
-    obj_p = relaxed_objective(u, t, cand, instance)
-    obj_m = relaxed_objective(u, t, -cand, instance)
-    if obj_m > obj_p * (1.0 + 1e-12):
-        return -cand
-    return cand
+    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    hint = np.array([np.nan if mu_hint is None else mu_hint])
+    return float(_multipliers(qt2, degen, hint, instance, config or SolverConfig())[0])
 
 
 def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
     """Inner maximiser w = -(P - mu I)^{-1} q on the distortion sphere."""
     if instance.epsilon == 0:
         return np.zeros(2 * instance.channel.n_t)
-    q, _ = _secular_parts(u, t, instance)
-    if float(np.linalg.norm(q)) <= _DEGENERATE_RTOL * _q_scale(u, t, instance):
-        return _degenerate_w(u, t, instance)
-    diff = instance.poles - mu
-    if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
+    gu, phi_t, qt, _, degen = _one_row_parts(u, t, instance)
+    if not degen[0] and np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
         raise SecularPoleError(f"shift mu={mu!r} is singular")
-    qt = instance.evecs.T @ q
-    return -(instance.evecs @ (qt / diff))
+    return _maximisers(qt, np.array([float(mu)]), degen, gu, phi_t, instance)[0]
 
 
 def apgd_t_step(state: SolverState, instance: ProblemInstance
@@ -409,125 +563,26 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
     ||H(Gu+w) - Ds - A^{-1} t||^2 from the momentum iterate z, followed by
     the momentum extrapolation.
     """
-    c = instance.apgd
-    y = instance.g @ state.u + state.w
-    r = instance.h @ y - instance.ds
-    t_new = np.maximum(c.b @ state.z + c.sigma_min_sq * (c.a_inv_t @ r), 0.0)
-    z_new = t_new + c.momentum * (t_new - state.t)
-    return t_new, z_new
+    x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
+    t_new, z_new = _t_step(instance, instance.slots, x, np.asarray(state.t)[None],
+                           np.asarray(state.z, dtype=float)[None])
+    return t_new[0], z_new[0]
 
 
 def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
     """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
-    y = instance.apply_p_inv(instance.h.T @ phi(t, instance.geometry))
-    return instance.solve_g(y - np.asarray(w, dtype=float))
-
-
-def _w_step(u, t, instance, config, mu_hint):
-    """Shared w-update used by solve(); returns (w, mu, degenerate)."""
-    gu = instance.g @ u
-    pgu = instance.apply_p(gu)
-    ht_phi = instance.h.T @ instance.phi_fast(t)
-    q = pgu - ht_phi
-    qt = instance.evecs.T @ q
-    qt2 = qt * qt
-    qn = math.sqrt(float(qt2.sum()))
-    scale = max(1.0, math.sqrt(float(pgu @ pgu)), math.sqrt(float(ht_phi @ ht_phi)))
-    if qn <= _DEGENERATE_RTOL * scale:
-        return _degenerate_w(u, t, instance), instance.lam_bar_max, True
-    if config.root_method == "closed-form-approx":
-        pq = instance.apply_p(q)
-        mu = 2.0 * (float(pq @ pq) / instance.epsilon ** 2) ** (1.0 / 3.0)
-        diff = instance.poles - mu
-        if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
-            raise SecularPoleError(f"approximate shift mu={mu!r} is singular")
-        w = -(instance.evecs @ (qt / diff))
-        # keep the iterate on the sphere; the approximate multiplier does not
-        w = instance.epsilon * w / float(np.linalg.norm(w))
-        return w, mu, False
-    mu = _root_from_parts(qt2, instance.poles, instance.epsilon,
-                          instance.lam_bar_max, config, mu_hint)
-    diff = instance.poles - mu
-    return -(instance.evecs @ (qt / diff)), mu, False
-
-
-def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> SolveReport:
-    """Run the three-step block coordinate ascent-descent loop.
-
-    Starts from t = z = 0 and u equal to the regularised channel inversion of
-    D s (the w = 0 closed form).  Terminates when the relative change of
-    (u, t) over a one- or two-iteration window drops below ``outer_tol``; the
-    two-iteration window is needed because the exact u-update makes the inner
-    maximiser settle into a sign-flipping two-cycle on the top eigenvector of
-    P, which bounds single-step changes away from zero (reported via
-    ``limit_cycle``).  Non-convergence is reported, not raised.
-    """
-    config = config or SolverConfig()
-    if config.root_method == "closed-form-approx" and instance.epsilon > 0:
-        warnings.warn(
-            "closed-form-approx multiplier is a small-eps shortcut; the inner "
-            "maximisation is then only approximate", RuntimeWarning, stacklevel=2)
-    n_t, n_r = instance.channel.n_t, instance.channel.n_r
-    state = SolverState(u=np.zeros(2 * n_t), t=np.zeros(2 * n_r),
-                        z=np.zeros(2 * n_r), w=np.zeros(2 * n_t))
-    state.u = update_u(state.t, state.w, instance)
-    eps = instance.epsilon
-
-    trace: list[float] = []
-    fp_max = 0.0
-    w_err_max = 0.0
-    degenerate_steps = 0
-    converged = False
-    limit_cycle = False
-    u_prev2 = t_prev2 = None
-
-    for k in range(1, config.max_iterations + 1):
-        u_old, t_old = state.u, state.t
-        if eps > 0:
-            state.w, state.mu, degen = _w_step(state.u, state.t, instance,
-                                               config, mu_hint=state.mu)
-            degenerate_steps += degen
-            if not degen:
-                w_err_max = max(w_err_max,
-                                abs(float(np.linalg.norm(state.w)) / eps - 1.0))
-        state.t, state.z = apgd_t_step(state, instance)
-        phi_t = instance.phi_fast(state.t)
-        y = instance.apply_p_inv(instance.h.T @ phi_t)
-        state.u = instance.solve_g(y - state.w)
-        state.k = k
-        x = instance.g @ state.u + state.w
-        resid = x - y
-        fp_max = max(fp_max, math.sqrt(float(np.dot(resid, resid)))
-                     / max(float(np.linalg.norm(phi_t)), _TINY))
-        pen = instance.h @ x - phi_t
-        trace.append(float(np.dot(x, x)) + instance.beta * float(np.dot(pen, pen)))
-
-        du = np.linalg.norm(state.u - u_old) / max(np.linalg.norm(state.u), _TINY)
-        dt = np.linalg.norm(state.t - t_old) / (1.0 + np.linalg.norm(state.t))
-        change1 = max(float(du), float(dt))
-        change2 = math.inf
-        if u_prev2 is not None:
-            du2 = np.linalg.norm(state.u - u_prev2) / max(np.linalg.norm(state.u), _TINY)
-            dt2 = np.linalg.norm(state.t - t_prev2) / (1.0 + np.linalg.norm(state.t))
-            change2 = max(float(du2), float(dt2))
-        u_prev2, t_prev2 = u_old, t_old
-        if change1 <= config.outer_tol or change2 <= config.outer_tol:
-            converged = True
-            limit_cycle = change1 > config.outer_tol
-            break
-
-    return SolveReport(u=state.u, t=state.t, w=state.w, mu=state.mu,
-                       objective=trace[-1], iterations=state.k,
-                       trace=np.asarray(trace), converged=converged,
-                       limit_cycle=limit_cycle,
-                       fixed_point_residual_max=fp_max,
-                       w_norm_relerr_max=w_err_max,
-                       degenerate_w_steps=degenerate_steps)
+    u = _u_step(instance, instance.slots, np.asarray(t, dtype=float)[None],
+                np.asarray(w, dtype=float)[None])[0]
+    return u[0]
 
 
 @dataclass
 class BatchSolveResult:
-    """Per-column outputs of :func:`solve_batch` (one column per symbol slot)."""
+    """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
+
+    ``w_norm_relerr_max`` is the largest | ||w|| / eps - 1 | over the w-steps,
+    ``degenerate_w_steps`` the number of w-steps that found q = 0.
+    """
 
     u: np.ndarray
     t: np.ndarray
@@ -537,209 +592,150 @@ class BatchSolveResult:
     converged: np.ndarray
     limit_cycle: np.ndarray
     fixed_point_residual_max: np.ndarray
+    w_norm_relerr_max: np.ndarray
+    degenerate_w_steps: np.ndarray
 
 
-def _diag_blocks(mat: np.ndarray, n: int) -> np.ndarray:
-    return np.stack([mat[2 * i:2 * i + 2, 2 * i:2 * i + 2] for i in range(n)])
+def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
+         trace: list | None = None) -> BatchSolveResult:
+    """The block coordinate ascent-descent loop over stacked symbol slots.
+
+    Each row starts from t = z = 0 and u equal to the regularised channel
+    inversion of D s (the w = 0 closed form), then repeats the w-step, the
+    t-step and the u-step until the relative change of (u, t) over a one- or
+    two-iteration window drops below ``outer_tol``.  A row that stops leaves
+    the working arrays, so the remaining rows run on as if alone.  A
+    ``trace`` list gets each iteration's objective after the u-update.
+    """
+    count = len(slots.ds)
+    eps, tol2 = instance.epsilon, config.outer_tol ** 2
+    g_t, h_t = instance.g.T, instance.h.T
+    t = np.zeros((count, slots.ds.shape[1]))
+    z = t
+    w = np.zeros((count, g_t.shape[0]))
+    mu = np.full(count, np.nan)
+    u, y, phi_t, ht_phi = _u_step(instance, slots, t, w)
+    gu = u @ g_t
+    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(), mu=mu.copy(),
+                           iterations=np.full(count, config.max_iterations),
+                           converged=np.zeros(count, dtype=bool),
+                           limit_cycle=np.zeros(count, dtype=bool),
+                           fixed_point_residual_max=np.zeros(count),
+                           w_norm_relerr_max=np.zeros(count),
+                           degenerate_w_steps=np.zeros(count, dtype=int))
+    # the last two iterates of u and t; both start at the initial point, which
+    # makes the two-iteration window equal the one-iteration one at k = 1
+    u_hist, t_hist = np.array((u, u)), np.array((t, t))
+    rows = np.arange(count)         # output row of each working row
+    fp2_max = np.zeros(count)      # squared fixed-point residual
+    w2_range = np.full((2, count), eps * eps)     # min and max of ||w||^2 seen
+    degen_steps = np.zeros(count, dtype=int)
+
+    def finish(sel, k, still=None):
+        idx = rows[sel]
+        out.u[idx], out.t[idx] = u_hist[0, sel], t_hist[0, sel]
+        out.w[idx], out.mu[idx] = w[sel], mu[sel]
+        out.fixed_point_residual_max[idx] = np.sqrt(fp2_max[sel])
+        if still is not None:
+            out.iterations[idx] = k
+            out.converged[idx] = True
+            out.limit_cycle[idx] = ~still[0, sel]
+        out.degenerate_w_steps[idx] = degen_steps[sel]
+        if eps > 0:
+            w_norm = np.sqrt(w2_range[:, sel]) / eps
+            out.w_norm_relerr_max[idx] = np.maximum(1.0 - w_norm[0], w_norm[1] - 1.0)
+
+    for k in range(1, config.max_iterations + 1):
+        if eps > 0:
+            # the start is the w = 0 closed form, where q = 0 exactly
+            w, mu, degen = _w_step(instance, gu, phi_t, ht_phi, mu, config, q_zero=k == 1)
+            degen_steps += degen
+            w2 = _sq(w)
+            np.minimum(w2_range[0], w2, out=w2_range[0])
+            np.maximum(w2_range[1], w2, out=w2_range[1])
+        t, z = _t_step(instance, slots, gu + w, t_hist[0], z)
+        u, y, phi_t, ht_phi = _u_step(instance, slots, t, w)
+        gu = u @ g_t
+        x = gu + w
+        fp2_max = np.maximum(fp2_max, _sq(x - y) / _sq(phi_t))   # Phi(t) != 0
+        if trace is not None:
+            pen = x @ h_t - phi_t
+            trace.append(_sq(x) + instance.beta * _sq(pen))
+
+        # relative change of u and of t over the one- and two-iteration
+        # windows, squared: still[i, j] says window i of row j is within tol
+        still = ((_sq(u - u_hist) <= tol2 * _sq(u))
+                 & (_sq(t - t_hist) <= tol2 * (1.0 + _norms(t)) ** 2))
+        u_hist[1], u_hist[0] = u_hist[0], u
+        t_hist[1], t_hist[0] = t_hist[0], t
+        done = still[0] | still[1]
+        n_done = np.count_nonzero(done)
+        if n_done:
+            finish(done, k, still)
+            if n_done == len(done):
+                return out
+            keep = ~done
+            rows, slots = rows[keep], slots.take(keep)
+            u_hist, t_hist, w2_range = u_hist[:, keep], t_hist[:, keep], w2_range[:, keep]
+            (z, w, mu, gu, phi_t, ht_phi, fp2_max, degen_steps) = (
+                a[keep] for a in (z, w, mu, gu, phi_t, ht_phi, fp2_max, degen_steps))
+    finish(np.ones(len(rows), dtype=bool), config.max_iterations)
+    return out
 
 
-def _bmv(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    s, n = vec.shape[0], blocks.shape[1]
-    out = np.einsum("snij,snj->sni", blocks, vec.reshape(s, n, 2))
-    return out.reshape(s, 2 * n)
+def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> SolveReport:
+    """Run the block coordinate ascent-descent loop on one symbol slot.
+
+    This is :func:`solve_batch` with a batch of one, plus the per-iteration
+    ``trace`` and the worst-case ``objective`` of the result.  The loop
+    terminates when the relative change of (u, t) over a one- or
+    two-iteration window drops below ``outer_tol``; the two-iteration window
+    is needed because the exact u-update makes the inner maximiser settle
+    into a sign-flipping two-cycle on the top eigenvector of P, which bounds
+    single-step changes away from zero (reported via ``limit_cycle``).
+    Non-convergence is reported, not raised.  ``objective`` is the worst-case
+    value of the returned (u, t), from one more w-step; ``mu`` is None at
+    eps = 0.
+    """
+    config = config or SolverConfig()
+    trace = []
+    res = _bcd(instance, instance.slots, config, trace)
+    u, t = res.u[0], res.t[0]
+    w_worst = np.zeros_like(u)
+    if instance.epsilon > 0:
+        gu, phi_t, ht_phi = _row(u, t, instance)
+        w_worst = _w_step(instance, gu, phi_t, ht_phi, res.mu, config)[0][0]
+    return SolveReport(u=u, t=t, w=res.w[0],
+                       mu=None if instance.epsilon == 0 else float(res.mu[0]),
+                       objective=relaxed_objective(u, t, w_worst, instance),
+                       iterations=int(res.iterations[0]),
+                       trace=np.concatenate(trace),
+                       converged=bool(res.converged[0]),
+                       limit_cycle=bool(res.limit_cycle[0]),
+                       fixed_point_residual_max=float(res.fixed_point_residual_max[0]),
+                       w_norm_relerr_max=float(res.w_norm_relerr_max[0]),
+                       degenerate_w_steps=int(res.degenerate_w_steps[0]))
 
 
 def solve_batch(proto: ProblemInstance, geometries,
                 config: SolverConfig | None = None) -> BatchSolveResult:
-    """Run :func:`solve` for many symbol slots of one channel simultaneously.
+    """Run the solver loop for many symbol slots of one channel at once.
 
     All slots share the channel, distortion matrix, beta and epsilon of
-    ``proto``; ``geometries`` supplies one CiGeometry per slot.  Column j
-    follows exactly the update sequence of ``solve`` on slot j (its iterates
-    are frozen once its termination fires), so results match the scalar path
-    up to BLAS rounding.  Used by the link simulator, where per-symbol
-    sequential solves would dominate the runtime.
+    ``proto``; ``geometries`` supplies one CiGeometry per slot.  Row j goes
+    through the same update sequence as :func:`solve` on slot j and leaves
+    the loop when its own termination test fires.  Used by the link
+    simulator, where per-symbol sequential solves would dominate the runtime.
     """
-    config = config or SolverConfig()
-    if config.root_method != "bisection":
-        raise ValueError("solve_batch supports only the bisection root method")
-    n_t, n_r = proto.channel.n_t, proto.channel.n_r
-    geometries = list(geometries)
-    s_count = len(geometries)
-    h, g = proto.h, proto.g
-    hth, evecs, poles = proto.hth, proto.evecs, proto.poles
-    beta, eps, lam = proto.beta, proto.epsilon, proto.lam_bar_max
-
-    ds = np.stack([gm.d @ gm.s for gm in geometries])
-    ainv_b = np.stack([_diag_blocks(gm.a_inv, n_r) for gm in geometries])
-    ainv_t_b = np.transpose(ainv_b, (0, 1, 3, 2))
-    aat_inv_b = np.einsum("snji,snjk->snik", ainv_b, ainv_b)
-    smin_sq = np.array([gm.sigma_min ** 2 for gm in geometries])
-    kappa = np.array([(gm.sigma_max / gm.sigma_min) ** 2 for gm in geometries])
-    momentum = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-    b_blocks = (np.eye(2)[None, None, :, :]
-                - smin_sq[:, None, None, None] * aat_inv_b)
-
-    t_cur = np.zeros((s_count, 2 * n_r))
-    z_cur = np.zeros((s_count, 2 * n_r))
-    w_cur = np.zeros((s_count, 2 * n_t))
-    mu_cur = np.full(s_count, np.nan)
-    mu_hint = np.full(s_count, np.nan)
-    # initial u: regularised channel inversion of D s (w = 0, t = 0)
-    y0 = ((ds @ h) @ evecs / poles) @ evecs.T
-    u_cur = lu_solve(proto._g_lu, y0.T).T
-
-    out_u = u_cur.copy()
-    out_t = t_cur.copy()
-    out_w = w_cur.copy()
-    out_mu = mu_cur.copy()
-    iterations = np.full(s_count, config.max_iterations)
-    converged = np.zeros(s_count, dtype=bool)
-    limit_cycle = np.zeros(s_count, dtype=bool)
-    fp_max = np.zeros(s_count)
-    active = np.ones(s_count, dtype=bool)
-    u_prev2 = t_prev2 = None
-    v_top = evecs[:, -1]
-
-    def secular_batch(mu_vec, qt2):
-        diff = poles[None, :] - mu_vec[:, None]
-        return np.sum(qt2 / (diff * diff), axis=1) - eps * eps
-
-    for k in range(1, config.max_iterations + 1):
-        u_old, t_old = u_cur, t_cur
-        gu = u_cur @ g.T
-        if eps > 0:
-            pgu = gu @ hth.T + gu / beta
-            ht_phi = (ds + _bmv(ainv_b, t_cur)) @ h
-            q = pgu - ht_phi
-            qt = q @ evecs
-            qt2 = qt * qt
-            qn = np.sqrt(qt2.sum(axis=1))
-            scale = np.maximum(1.0, np.maximum(np.linalg.norm(pgu, axis=1),
-                                               np.linalg.norm(ht_phi, axis=1)))
-            degen = qn <= _DEGENERATE_RTOL * scale
-            idx = ~degen
-            if np.any(idx):
-                lo = np.full(s_count, lam * (1.0 + config.bracket_inset))
-                hi = np.where(idx, qn / max(eps, _TINY) + lam, lam * 2.0)
-                f_lo = secular_batch(lo, qt2)
-                bad = idx & (f_lo <= 0.0)
-                for j in np.flatnonzero(bad):
-                    # root squeezed against the pole: scalar fallback
-                    mu_j = _root_from_parts(qt2[j], poles, eps, lam, config)
-                    lo[j] = hi[j] = mu_j
-                hints = mu_hint.copy()
-                ok = idx & ~bad & np.isfinite(hints) & (hints > lo) & (hints < hi)
-                if np.any(ok):
-                    f_h = secular_batch(np.where(ok, hints, lo + 1.0), qt2)
-                    pos = ok & (f_h > 0.0)
-                    lo = np.where(pos, hints, lo)
-                    hi = np.where(ok & ~pos, hints, hi)
-                    near = np.where(pos, hints * (1.0 + 1e-4), hints * (1.0 - 1e-4))
-                    ok2 = ok & (near > lo) & (near < hi)
-                    if np.any(ok2):
-                        f_n = secular_batch(np.where(ok2, near, lo + 1.0), qt2)
-                        shrink_hi = ok2 & pos & (f_n <= 0.0)
-                        shrink_lo = ok2 & ~pos & (f_n > 0.0)
-                        hi = np.where(shrink_hi, near, hi)
-                        lo = np.where(shrink_lo, near, lo)
-                for _ in range(300):
-                    width = hi - lo
-                    run = idx & (width > config.mu_tol * np.maximum(1.0, hi))
-                    if not np.any(run):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    f_mid = secular_batch(mid, qt2)
-                    pos = f_mid > 0.0
-                    lo = np.where(run & pos, mid, lo)
-                    hi = np.where(run & ~pos, mid, hi)
-                mu_new = 0.5 * (lo + hi)
-                for _ in range(4):  # clamped Newton polish
-                    diff = poles[None, :] - mu_new[:, None]
-                    f_val = np.sum(qt2 / (diff * diff), axis=1) - eps * eps
-                    slope = 2.0 * np.sum(qt2 / (diff * diff * diff), axis=1)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        nxt = mu_new - f_val / slope
-                    good = idx & np.isfinite(nxt) & (nxt >= lo) & (nxt <= hi)
-                    mu_new = np.where(good, nxt, mu_new)
-                mu_cur = np.where(idx, mu_new, lam)
-                diff = poles[None, :] - mu_cur[:, None]
-                w_new = -(qt / diff) @ evecs.T
-                w_cur = np.where(idx[:, None], w_new, w_cur)
-                mu_hint = np.where(idx, mu_cur, mu_hint)
-            if np.any(degen):
-                cand = eps * v_top
-                rows = np.flatnonzero(degen)
-                x_p = gu[rows] + cand
-                x_m = gu[rows] - cand
-                phi_rows = ds[rows] + _bmv(ainv_b[rows], t_cur[rows])
-                rp = x_p @ h.T - phi_rows
-                rm = x_m @ h.T - phi_rows
-                obj_p = np.sum(x_p * x_p, 1) + beta * np.sum(rp * rp, 1)
-                obj_m = np.sum(x_m * x_m, 1) + beta * np.sum(rm * rm, 1)
-                sign = np.where(obj_m > obj_p * (1.0 + 1e-12), -1.0, 1.0)
-                w_cur = w_cur.copy()
-                w_cur[rows] = sign[:, None] * cand
-                mu_cur = np.where(degen, lam, mu_cur)
-        # t-step, then closed-form u
-        x = gu + w_cur
-        r = x @ h.T - ds
-        t_new = np.maximum(_bmv(b_blocks, z_cur)
-                           + smin_sq[:, None] * _bmv(ainv_t_b, r), 0.0)
-        z_cur = t_new + momentum[:, None] * (t_new - t_cur)
-        t_cur = t_new
-        phi_new = ds + _bmv(ainv_b, t_cur)
-        y = ((phi_new @ h) @ evecs / poles) @ evecs.T
-        u_cur = lu_solve(proto._g_lu, (y - w_cur).T).T
-        resid = np.linalg.norm(u_cur @ g.T + w_cur - y, axis=1)
-        fp = resid / np.maximum(np.linalg.norm(phi_new, axis=1), _TINY)
-        fp_max = np.where(active, np.maximum(fp_max, fp), fp_max)
-
-        du = (np.linalg.norm(u_cur - u_old, axis=1)
-              / np.maximum(np.linalg.norm(u_cur, axis=1), _TINY))
-        dt = (np.linalg.norm(t_cur - t_old, axis=1)
-              / (1.0 + np.linalg.norm(t_cur, axis=1)))
-        change1 = np.maximum(du, dt)
-        change2 = np.full(s_count, np.inf)
-        if u_prev2 is not None:
-            du2 = (np.linalg.norm(u_cur - u_prev2, axis=1)
-                   / np.maximum(np.linalg.norm(u_cur, axis=1), _TINY))
-            dt2 = (np.linalg.norm(t_cur - t_prev2, axis=1)
-                   / (1.0 + np.linalg.norm(t_cur, axis=1)))
-            change2 = np.maximum(du2, dt2)
-        u_prev2, t_prev2 = u_old, t_old
-        done = active & ((change1 <= config.outer_tol)
-                         | (change2 <= config.outer_tol))
-        if np.any(done):
-            rows = np.flatnonzero(done)
-            out_u[rows] = u_cur[rows]
-            out_t[rows] = t_cur[rows]
-            out_w[rows] = w_cur[rows]
-            out_mu[rows] = mu_cur[rows]
-            iterations[rows] = k
-            converged[rows] = True
-            limit_cycle[rows] = change1[rows] > config.outer_tol
-            active &= ~done
-        if not np.any(active):
-            break
-
-    rows = np.flatnonzero(active)
-    out_u[rows] = u_cur[rows]
-    out_t[rows] = t_cur[rows]
-    out_w[rows] = w_cur[rows]
-    out_mu[rows] = mu_cur[rows]
-    return BatchSolveResult(u=out_u, t=out_t, w=out_w, mu=out_mu,
-                            iterations=iterations, converged=converged,
-                            limit_cycle=limit_cycle,
-                            fixed_point_residual_max=fp_max)
+    return _bcd(proto, _slots(list(geometries)), config or SolverConfig())
 
 
 def nominal_slp(channel: RealChannel, geometry: CiGeometry
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Undistorted power-minimising precoder with hard CI constraints.
 
-    Solves min ||x||^2 subject to H x = D s + A^{-1} W t, t >= 0, by
-    eliminating x = H^+ (D s + A^{-1} W t) and handing the reduced problem to
+    Solves min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0, by
+    eliminating x = H^+ (D s + A^{-1} t) and handing the reduced problem to
     an exact non-negative least-squares solver.
     """
     from scipy.linalg import cholesky, solve_triangular
@@ -750,13 +746,12 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
     if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
         raise ValueError("channel must have full row rank")
     ds = geometry.d @ geometry.s
-    a_inv_w = geometry.a_inv @ geometry.w
     chol = cholesky(h @ h.T, lower=True)
     # ||H^+ Phi(t)||^2 = ||L^{-1} Phi(t)||^2 with H H^T = L L^T
-    design = solve_triangular(chol, a_inv_w, lower=True)
+    design = solve_triangular(chol, geometry.a_inv, lower=True)
     target = -solve_triangular(chol, ds, lower=True)
     t, _ = nnls(design, target)
-    phi_t = ds + a_inv_w @ t
+    phi_t = ds + geometry.a_inv @ t
     x = h.T @ solve_triangular(chol.T, solve_triangular(chol, phi_t, lower=True),
                                lower=False)
     return x, t
@@ -773,7 +768,7 @@ def count_secular_roots(u, t, instance: ProblemInstance) -> int:
     """
     if instance.epsilon <= 0:
         return 0
-    _, qt2 = _secular_parts(u, t, instance)
+    qt2 = _one_row_parts(u, t, instance)[3][0]
     total = float(qt2.sum())
     if total <= 0.0:
         raise ValueError("count_secular_roots requires q != 0")

@@ -200,29 +200,6 @@ def check_root_parity(n_instances: int = 100, seed: int = 4) -> CheckResult:
                        f"counts seen: {sorted(set(counts))}")
 
 
-def approx_gap_report(n_instances: int = 30, seed: int = 5) -> str:
-    """Measured gap of the closed-form multiplier shortcut vs the exact root.
-
-    Informational only: the shortcut scales as eps^(-2/3) while the exact
-    root grows like ||q||/eps, so the gap widens as eps shrinks.
-    """
-    from .solver import approx_mu
-
-    rng = np.random.default_rng(seed)
-    lines = []
-    for eps in (0.56, 0.1, 0.01):
-        rel = []
-        for i in range(n_instances):
-            inst = random_instance(rng, (2, 4)[i % 2], beta=10.0, eps=eps)
-            u, t = random_point(rng, inst)
-            mu = solve_mu(u, t, inst)
-            rel.append(abs(approx_mu(u, t, inst) - mu) / mu)
-        rel = np.asarray(rel)
-        lines.append(f"eps={eps}: median rel gap {np.median(rel):.3f}, "
-                     f"max {rel.max():.3f}")
-    return "approx-multiplier gap vs exact root -- " + "; ".join(lines)
-
-
 def run_all(seed: int = 0, quick: bool = True) -> list[CheckResult]:
     scale = 1 if quick else 5
     return [

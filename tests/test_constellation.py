@@ -68,11 +68,6 @@ def test_geometry_scaling_matrix():
     np.testing.assert_allclose(np.diag(geom2.d), [1, 1, 3, 3])
 
 
-def test_geometry_mask_is_identity_for_psk():
-    geom = build_ci_geometry([0, 1, 2], [4.0] * 3, [1.0] * 3, QPSK)
-    np.testing.assert_allclose(geom.w, np.eye(6))
-
-
 def test_geometry_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ci_geometry([0, 7], [1.0, 1.0], [1.0, 1.0], QPSK)

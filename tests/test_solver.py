@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import wcslp.solver as solver_module
+
 from wcslp.constellation import CiGeometry, PskConstellation, build_ci_geometry
 from wcslp.realify import build_real_channel, build_real_distortion
 from wcslp.solver import (ProblemInstance, SecularPoleError, SolverConfig,
-                          SolverState, approx_mu, apgd_t_step,
+                          SolverState, apgd_t_step,
                           count_secular_roots, mu_bracket, nominal_slp, phi,
                           relaxed_objective, secular_value, solve, solve_batch,
                           solve_mu, update_u, worst_case_w)
@@ -32,7 +34,7 @@ def scalar_point(inst):
 
 
 def test_phi_examples():
-    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2), w=np.eye(2),
+    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2),
                       s=np.array([1.0, 0.0]), gammas=np.array([4.0]),
                       sigmas=np.array([1.0]), symbols=np.array([0]),
                       constellation=QPSK)
@@ -123,17 +125,6 @@ def test_solve_mu_above_pole_on_random_instances():
         assert lo < mu <= hi * (1 + 1e-12)
 
 
-def test_approx_mu_values_and_scaling():
-    inst = scalar_instance(beta=1.0, eps=1.0)
-    u, t = scalar_point(inst)
-    assert approx_mu(u, t, inst) == pytest.approx(2 * 4 ** (1 / 3), rel=1e-12)
-    inst2 = scalar_instance(beta=1.0, eps=0.01)
-    assert approx_mu(u, t, inst2) == pytest.approx(2 * 4e4 ** (1 / 3), rel=1e-12)
-    inst3 = scalar_instance(beta=1.0, eps=0.005)
-    assert (approx_mu(u, t, inst3) / approx_mu(u, t, inst2)
-            == pytest.approx(2 ** (2 / 3), rel=1e-12))
-
-
 def test_worst_case_w_scalar():
     inst = scalar_instance(beta=1.0, eps=1.0)
     u, t = scalar_point(inst)
@@ -166,7 +157,7 @@ def test_worst_case_w_degenerate_is_top_eigvec():
 
 def test_apgd_step_identity_geometry():
     # A = I makes B = 0 and the step exact: t = max(residual, 0)
-    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2), w=np.eye(2),
+    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2),
                       s=np.array([1.0, 0.0]), gammas=np.array([4.0]),
                       sigmas=np.array([1.0]), symbols=np.array([0]),
                       constellation=QPSK)
@@ -276,7 +267,7 @@ def test_solve_batch_matches_scalar_solve():
     cfg = SolverConfig(max_iterations=500, outer_tol=1e-6)
     batch = solve_batch(proto, geoms, cfg)
     for j, geom in enumerate(geoms):
-        rep = solve(proto.with_geometry(geom), cfg)
+        rep = solve(ProblemInstance(chan, g, geom, 1.0, 0.56), cfg)
         assert rep.iterations == batch.iterations[j]
         assert rep.converged == batch.converged[j]
         np.testing.assert_allclose(rep.u, batch.u[j], atol=1e-9)
@@ -365,3 +356,108 @@ def test_instance_validation():
         ProblemInstance(chan, build_real_distortion([[1.0 + 0j]]), geom, -1.0, 0.1)
     with pytest.raises(ValueError):
         ProblemInstance(chan, build_real_distortion([[1.0 + 0j]]), geom, 1.0, -0.1)
+
+
+def _assert_batch_equals_alone(proto, geoms, cfg):
+    """Solving the slots in one batch equals solving each slot alone."""
+    batch = solve_batch(proto, geoms, cfg)
+    for j, geom in enumerate(geoms):
+        alone = solve_batch(proto, [geom], cfg)
+        report = solve(ProblemInstance(proto.channel, proto.distortion, geom,
+                                       proto.beta, proto.epsilon), cfg)
+        for single in (alone, report):
+            assert single.iterations == batch.iterations[j]
+            assert single.converged == batch.converged[j]
+            assert single.limit_cycle == batch.limit_cycle[j]
+        for name in ("u", "t", "w"):
+            np.testing.assert_allclose(getattr(alone, name)[0], getattr(batch, name)[j],
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(getattr(report, name), getattr(batch, name)[j],
+                                       rtol=0, atol=1e-9)
+    return batch
+
+
+def _batch_problem(seed, n, slots, beta, eps, cond=None):
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    if cond is not None:
+        left, _, right = np.linalg.svd(h)
+        h = left @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ right
+    geoms = [build_ci_geometry(rng.integers(0, 4, n), np.full(n, 10.0), np.ones(n), QPSK)
+             for _ in range(slots)]
+    proto = ProblemInstance(build_real_channel(h),
+                            build_real_distortion(np.eye(n, dtype=complex)),
+                            geoms[0], beta, eps)
+    return proto, geoms
+
+
+def test_batch_rows_stop_independently():
+    # slots stop at different iterations, and some run into the budget
+    proto, geoms = _batch_problem(13, 4, 12, 100.0, 0.56)
+    batch = _assert_batch_equals_alone(proto, geoms,
+                                       SolverConfig(max_iterations=40, outer_tol=1e-6))
+    assert len(set(batch.iterations[batch.converged].tolist())) > 1
+    assert 0 < np.sum(~batch.converged) < len(geoms)
+    assert np.all(batch.iterations[~batch.converged] == 40)
+
+
+def test_batch_equals_alone_at_eps_zero():
+    proto, geoms = _batch_problem(14, 3, 8, 10.0, 0.0)
+    batch = _assert_batch_equals_alone(proto, geoms,
+                                       SolverConfig(max_iterations=500, outer_tol=1e-8))
+    np.testing.assert_array_equal(batch.w, 0.0)
+    assert np.all(np.isnan(batch.mu))
+
+
+def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
+    # G = I and an ill-conditioned channel: at the start q = 0 exactly, but
+    # its rounded value clears the degenerate threshold on some rows only.
+    # The first w-step must still be the degenerate one on every row, or w
+    # would follow the rounding, which differs between batch sizes.
+    proto, geoms = _batch_problem(0, 3, 12, 1e6, 0.56, cond=1e3)
+    slots = solver_module._slots(geoms)
+    zeros = np.zeros((len(geoms), 6))
+    u0, _, _, ht_phi = solver_module._u_step(proto, slots, zeros, zeros)
+    rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, ht_phi)[2]
+    assert 0 < np.sum(rounded_flat) < len(geoms)
+    batch = _assert_batch_equals_alone(proto, geoms,
+                                       SolverConfig(max_iterations=30, outer_tol=1e-6))
+    first = solve_batch(proto, geoms, SolverConfig(max_iterations=1))
+    np.testing.assert_array_equal(first.mu, proto.lam_bar_max)
+    assert not np.all(batch.mu == proto.lam_bar_max)
+
+
+def test_few_and_many_row_root_searches_agree():
+    rng = np.random.default_rng(15)
+    inst = random_instance(rng, 4, beta=10.0, eps=0.56)
+    cfg = SolverConfig()
+    rows = [random_point(rng, inst) for _ in range(6)]
+    qt2 = np.array([solver_module._one_row_parts(u, t, inst)[3][0] for u, t in rows])
+    # a squeezed root: q along the top eigenvector, so small that the root
+    # lies between the pole boundary and the inset point
+    lam = inst.lam_bar_max
+    squeezed = np.zeros(8)
+    squeezed[-1] = (0.5 * cfg.bracket_inset * lam * inst.epsilon) ** 2
+    qt2 = np.vstack([qt2, squeezed])
+    assert solver_module._secular_from_parts(
+        lam * (1 + cfg.bracket_inset), squeezed, inst.poles, inst.epsilon) <= 0.0
+    hint = np.full(len(qt2), np.nan)
+    hint[:3] = [1.01 * lam, 2.0 * lam, 1e3 * lam]   # warm starts, in and out of range
+    degen = np.zeros(len(qt2), dtype=bool)
+    assert len(qt2) > solver_module._FEW_ROWS
+    many = solver_module._multipliers(qt2, degen, hint, inst, cfg)
+    few = np.array([solver_module._multipliers(qt2[j:j + 1], degen[:1], hint[j:j + 1],
+                                               inst, cfg)[0] for j in range(len(qt2))])
+    np.testing.assert_allclose(many, few, rtol=cfg.mu_tol, atol=0)
+    assert lam < many[-1] < lam * (1 + cfg.bracket_inset)
+
+
+def test_objective_is_worst_case_of_returned_design():
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        inst = random_instance(rng, 8, beta=1e4, random_g=True)
+    report = solve(inst, SolverConfig(max_iterations=20000, outer_tol=1e-3))
+    u, t = report.u, report.t
+    worst = relaxed_objective(u, t, worst_case_w(u, t, solve_mu(u, t, inst), inst), inst)
+    assert report.objective == pytest.approx(worst, rel=1e-9)
+    assert report.objective > 10 * report.trace[-1]   # w does not cancel here
