@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .realify import embed_vector
 
@@ -23,17 +25,21 @@ class UnsupportedConstellationError(ValueError):
 
 @dataclass
 class PskConstellation:
-    """Equiprobable unit-power M-PSK alphabet.
+    """Equiprobable unit-power M-PSK alphabet and its table of CI normals.
 
-    Point m sits at angle ``phase_offset + 2*pi*m/order``.  The default
-    offset pi/order gives the diagonal QPSK layout for order 4.  Orders
-    below 4 are rejected: with two points the two sector normals are
-    antiparallel and the CI normal matrix is singular.
+    Point m sits at angle ``phase_offset + 2*pi*m/order``; ``normals[m]`` is
+    :func:`ci_normals` of symbol m.  The default offset pi/order gives the
+    diagonal QPSK layout for order 4.  Orders below 4 are rejected: with two
+    points the two sector normals are antiparallel and A is singular.
     """
 
     order: int
     phase_offset: float | None = None
     points: np.ndarray = field(init=False, repr=False)
+    normals: np.ndarray = field(init=False, repr=False)      # (M, 2, 2) ci_normals
+    normals_inv: np.ndarray = field(init=False, repr=False)  # (M, 2, 2) inverses
+    sigma_min: float = field(init=False, repr=False)
+    sigma_max: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if int(self.order) != self.order or self.order < 4:
@@ -44,6 +50,13 @@ class PskConstellation:
             self.phase_offset = math.pi / self.order
         angles = self.phase_offset + 2.0 * np.pi * np.arange(self.order) / self.order
         self.points = np.exp(1j * angles)
+        self.normals = np.stack([ci_normals(m, self) for m in range(self.order)])
+        self.normals_inv = np.linalg.inv(self.normals)
+        # All normals are rotations of symbol 0's, whose rows are pi - 2 pi/M
+        # apart: singular values sqrt(2) sin(pi/M) and sqrt(2) cos(pi/M), the
+        # cosine taken as sin(pi/2 - pi/M) so that QPSK's two are equal.
+        self.sigma_min = math.sqrt(2.0) * math.sin(math.pi / self.order)
+        self.sigma_max = math.sqrt(2.0) * math.sin(math.pi / 2.0 - math.pi / self.order)
 
     def angle(self, m: int) -> float:
         self._check_index(m)
@@ -92,40 +105,59 @@ def ci_normals(symbol: int, constellation: PskConstellation) -> np.ndarray:
 
 @dataclass
 class CiGeometry:
-    """Stacked CI geometry for one symbol slot across all users.
+    """CI geometry of one symbol slot across all users.
 
-    a is the block-diagonal normal matrix, d the per-user SNR/noise scaling
-    diag(sigma_i*sqrt(gamma_i)) (x) I2, and s the stacked (Re, Im) symbol
-    vector.  Every PSK point is an outer point, so the CI target is
-    d @ s + a_inv @ t with no outer-point mask.  Treat instances as immutable;
-    they are shared freely across workers.
+    User i's CI normals are row ``symbols[i]`` of the constellation's table,
+    so the stacked normal matrix A is block diagonal with 2x2 blocks, and
+    ``ds`` = D s stacks the symbols scaled by sigma_i * sqrt(gamma_i).  Every
+    PSK point is an outer point, so the CI target is ds + A^{-1} t with no
+    outer-point mask.  Treat instances as immutable; they are shared freely
+    across workers.
     """
 
-    a: np.ndarray
-    d: np.ndarray
-    s: np.ndarray
+    symbols: np.ndarray
     gammas: np.ndarray
     sigmas: np.ndarray
-    symbols: np.ndarray
     constellation: PskConstellation
-    a_inv: np.ndarray = field(init=False, repr=False)
-    sigma_min: float = field(init=False)
-    sigma_max: float = field(init=False)
+    ds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.a_inv = np.linalg.inv(self.a)
-        svals = np.linalg.svd(self.a, compute_uv=False)
-        self.sigma_min = float(svals.min())
-        self.sigma_max = float(svals.max())
+        scale = np.repeat(self.sigmas * np.sqrt(self.gammas), 2)
+        self.ds = scale * embed_vector(self.constellation.points[self.symbols])
 
     @property
     def n_r(self) -> int:
-        return self.s.size // 2
+        return self.symbols.size
+
+    @property
+    def a_blocks(self) -> np.ndarray:
+        """The (n_r, 2, 2) diagonal blocks of A; ``a_inv_blocks`` those of A^{-1}."""
+        return self.constellation.normals[self.symbols]
+
+    @property
+    def a_inv_blocks(self) -> np.ndarray:
+        return self.constellation.normals_inv[self.symbols]
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Dense A, assembled on first use (read-only); likewise ``a_inv``."""
+        return _dense(self.a_blocks)
+
+    @cached_property
+    def a_inv(self) -> np.ndarray:
+        return _dense(self.a_inv_blocks)
+
+
+def _dense(blocks: np.ndarray) -> np.ndarray:
+    """Read-only dense block-diagonal matrix of (n, 2, 2) blocks."""
+    out = block_diag(*blocks)
+    out.flags.writeable = False
+    return out
 
 
 def build_ci_geometry(symbols, gammas, sigmas,
                       constellation: PskConstellation) -> CiGeometry:
-    """Assemble A, D and s for given symbol indices and per-user targets."""
+    """Geometry for given symbol indices and per-user SNR targets and noise."""
     symbols = np.atleast_1d(np.asarray(symbols, dtype=int))
     n_r = symbols.size
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
@@ -134,13 +166,10 @@ def build_ci_geometry(symbols, gammas, sigmas,
         raise ValueError("target SNRs must be positive")
     if np.any(sigmas <= 0):
         raise ValueError("noise deviations must be positive")
-    a = np.zeros((2 * n_r, 2 * n_r))
-    for i, m in enumerate(symbols):
-        a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = ci_normals(int(m), constellation)
-    d = np.kron(np.diag(sigmas * np.sqrt(gammas)), np.eye(2))
-    s = embed_vector(constellation.points[symbols])
-    return CiGeometry(a=a, d=d, s=s, gammas=gammas, sigmas=sigmas,
-                      symbols=symbols, constellation=constellation)
+    if np.any((symbols < 0) | (symbols >= constellation.order)):
+        raise ValueError(f"symbol indices must lie in [0, {constellation.order})")
+    return CiGeometry(symbols=symbols, gammas=gammas, sigmas=sigmas,
+                      constellation=constellation)
 
 
 def ml_detect(y, constellation: PskConstellation) -> int:

@@ -1,12 +1,15 @@
 """Seeded Monte-Carlo link-level evaluation of the precoding schemes.
 
-Per coherence block a channel is drawn, then per symbol slot the selected
-precoder is computed, the distorted signal is transmitted through the block's
-channel with additive receiver noise, and single-user ML detection runs at
-each receiver.  All randomness comes from per-block substreams derived from
-(master seed, block index), so identical seeds give identical metrics for any
-degree of parallelism, and comparisons across beta, gamma and scheme reuse
-the same channel / symbol / distortion / noise draws.
+A coherence block is the unit of work.  Its channel, symbols, distortion and
+noise are drawn once, from a substream derived from (master seed, block
+index).  For each target SNR the block's slot geometries are built once and
+each slot's nominal design is solved once: it depends on neither beta nor
+the scheme, so both nominal schemes and every beta share it.  The robust
+designs of all slots are solved in one batch per beta.  The signals go
+through the block's channel with additive receiver noise, and single-user ML
+detection runs at each receiver.  Identical seeds give identical metrics for
+any degree of parallelism, and comparisons across beta, gamma and scheme
+reuse the same draws.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import chi2
@@ -162,19 +166,20 @@ def transmit_receive(u, w_actual, channel: RealChannel,
     return clean + noise
 
 
+def _bit_errors(detected, sent, constellation: PskConstellation) -> int:
+    """Bits that differ between the Gray labels of detected and sent indices."""
+    labels = constellation.gray_labels
+    return int(np.bitwise_count(labels[detected] ^ labels[sent]).sum())
+
+
 def estimate_ber(detected, sent, constellation: PskConstellation) -> float:
     """Bit error rate under reflected Gray labeling of the phase index."""
     detected = np.asarray(detected, dtype=int)
     sent = np.asarray(sent, dtype=int)
     if detected.shape != sent.shape:
         raise ValueError("detected / sent shape mismatch")
-    k = constellation.bits_per_symbol
-    labels = constellation.gray_labels
-    diff = labels[detected] ^ labels[sent]
-    errors = np.zeros(diff.shape, dtype=int)
-    for b in range(k):
-        errors += (diff >> b) & 1
-    return float(errors.sum()) / (diff.size * k)
+    return (_bit_errors(detected, sent, constellation)
+            / (detected.size * constellation.bits_per_symbol))
 
 
 def estimate_mi(received, sent, order: int, bins: int = 64) -> float:
@@ -246,112 +251,91 @@ def _block_draws(config: SweepConfig, block_index: int):
     return chan, symbols, w_actual, noise
 
 
-def _run_block(config: SweepConfig, gamma_db: float, beta: float, scheme: str,
-               block_index: int) -> _BlockTally:
+def _run_block(config: SweepConfig, block_index: int) -> list[_BlockTally]:
+    """One coherence block's tally for every (gamma, beta, scheme) cell.
+
+    Per gamma the slot geometries are built once and each slot's nominal
+    design is solved once: it depends on neither beta nor the scheme, so each
+    nominal scheme's tally serves every beta.  wc-slp runs once per beta.
+    """
     chan, symbols, w_actual, noise = _block_draws(config, block_index)
     const = PskConstellation(config.constellation_order, config.phase_offset)
-    gamma = 10.0 ** (gamma_db / 10.0)
-    n_sym, n_r = symbols.shape
-    gammas = np.full(n_r, gamma)
-    sigmas = np.full(n_r, config.noise_sigma)
-    geoms = [build_ci_geometry(symbols[j], gammas, sigmas, const)
-             for j in range(n_sym)]
-    h = chan.real.matrix
-    tally = _BlockTally()
-
-    if scheme == "wc-slp":
-        g_real = _identity_distortion(config.n_t)
-        proto = ProblemInstance(chan.real, g_real, geoms[0], beta,
-                                config.distortion.epsilon)
-        result = solve_batch(proto, geoms, config.solver)
-        ok = result.converged
-        tally.failures = int(np.sum(~ok))
-        x_clean = result.u @ g_real.matrix.T + w_actual    # (n_sym, 2 n_t)
-        powers = np.sum(result.u * result.u, axis=1)
-    else:
-        x_nom = np.empty((n_sym, 2 * config.n_t))
-        for j in range(n_sym):
-            x_nom[j], _ = nominal_slp(chan.real, geoms[j])
-        ok = np.ones(n_sym, dtype=bool)
-        powers = np.sum(x_nom * x_nom, axis=1)
-        if scheme == "nominal-under-distortion":
+    n_sym = len(symbols)
+    g_real = RealDistortionMatrix(matrix=np.eye(2 * config.n_t), n_t=config.n_t)
+    tallies = []
+    for gamma_db in config.gamma_db_grid:
+        gamma = 10.0 ** (gamma_db / 10.0)
+        geoms = [build_ci_geometry(row, gamma, config.noise_sigma, const) for row in symbols]
+        tally = partial(_tally, chan.real.matrix, symbols, noise,
+                        np.stack([gm.ds for gm in geoms]), const)
+        nominal = {}
+        if set(config.schemes) - {"wc-slp"}:
+            x_nom = np.stack([nominal_slp(chan.real, gm)[0] for gm in geoms])
+            powers = np.sum(x_nom * x_nom, axis=1)
             # precoder output G^{-1} x_nom, so the transmitted signal is
             # x_nom + w; power is accounted on the designed signal
-            x_clean = x_nom + w_actual
-        else:
-            x_clean = x_nom
+            signals = {"nominal-slp": x_nom, "nominal-under-distortion": x_nom + w_actual}
+            nominal = {scheme: tally(signals[scheme], powers, np.ones(n_sym, dtype=bool))
+                       for scheme in config.schemes if scheme in signals}
+        for beta in config.beta_grid:
+            for scheme in config.schemes:
+                if scheme != "wc-slp":
+                    tallies.append(nominal[scheme])
+                    continue
+                proto = ProblemInstance(chan.real, g_real, geoms[0], beta,
+                                        config.distortion.epsilon)
+                result = solve_batch(proto, geoms, config.solver)
+                x_clean = result.u @ g_real.matrix.T + w_actual    # (n_sym, 2 n_t)
+                tallies.append(tally(x_clean, np.sum(result.u * result.u, axis=1),
+                                     result.converged))
+    return tallies
 
+
+def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
+           ok) -> _BlockTally:
+    """Detection, bit errors, power and noise-free CI margins of one block's
+    transmitted signals; rows where ``ok`` is False count as failures only."""
+    n_r = symbols.shape[1]
+    tally = _BlockTally(failures=int(np.sum(~ok)))
     used = np.flatnonzero(ok)
-    if used.size == 0:
-        tally.received = np.zeros((n_r, 0, 2))
-        tally.sent = np.zeros((0, n_r), dtype=int)
-        return tally
-
     y_clean = (x_clean[used] @ h.T).reshape(used.size, n_r, 2)
     received = y_clean + noise[used]
     detected = ml_detect_many(received.reshape(-1, 2), const).reshape(used.size, n_r)
     sent = symbols[used]
-
-    k_bits = const.bits_per_symbol
-    labels = const.gray_labels
-    diff = labels[detected] ^ labels[sent]
-    bit_errors = 0
-    for b in range(k_bits):
-        bit_errors += int(np.sum((diff >> b) & 1))
-    tally.bit_errors = bit_errors
-    tally.bits = int(sent.size * k_bits)
+    tally.bit_errors = _bit_errors(detected, sent, const)
+    tally.bits = int(sent.size * const.bits_per_symbol)
     tally.power_sum = float(powers[used].sum())
     tally.used_symbols = int(used.size)
-
-    # noise-free CI margins of the transmitted (possibly distorted) signal
-    margins = np.empty((used.size, n_r, 2))
-    for row, j in enumerate(used):
-        gm = geoms[j]
-        margins[row] = (gm.a @ (h @ x_clean[j] - gm.d @ gm.s)).reshape(n_r, 2)
+    # noise-free CI margins A_i (y_i - (D s)_i), one 2x2 product per user
+    offset = y_clean - ds[used].reshape(used.size, n_r, 2)
+    margins = (const.normals[sent] @ offset[..., None])[..., 0]
     tally.violations = int(np.sum(margins.min(axis=2) < _VIOLATION_TOL))
     tally.margin_pairs = int(used.size * n_r)
-
     tally.received = np.transpose(received, (1, 0, 2))  # (n_r, used, 2)
     tally.sent = sent
     return tally
 
 
-def _identity_distortion(n_t: int) -> RealDistortionMatrix:
-    return RealDistortionMatrix(matrix=np.eye(2 * n_t), n_t=n_t)
-
-
-def _run_cell(args) -> _BlockTally:
-    config, gamma_db, beta, scheme, block_index = args
-    return _run_block(config, gamma_db, beta, scheme, block_index)
-
-
 def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     """Evaluate every (gamma, beta, scheme) cell of the configured grid.
 
-    Blocks are independent work units; with ``parallel > 1`` they are fanned
-    out to a process pool and reduced in block order, so the records are
+    A coherence block is the work unit (:func:`_run_block`).  With
+    ``parallel > 1`` blocks are fanned out to a process pool (workers beyond
+    ``blocks`` sit idle) and reduced in block order, so the records are
     identical for any worker count.  Symbol slots whose solver did not
     converge are counted in ``solver_failures`` and excluded from every
     average.
     """
-    tasks = [(gamma_db, beta, scheme)
-             for gamma_db in config.gamma_db_grid
-             for beta in config.beta_grid
-             for scheme in config.schemes]
-    cells = [(config, gamma_db, beta, scheme, b)
-             for (gamma_db, beta, scheme) in tasks
-             for b in range(config.blocks)]
+    run = partial(_run_block, config)
     if config.parallel > 1:
         with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            tallies = list(pool.map(_run_cell, cells, chunksize=1))
+            per_block = list(pool.map(run, range(config.blocks)))
     else:
-        tallies = [_run_cell(c) for c in cells]
-
-    records = []
-    for i, (gamma_db, beta, scheme) in enumerate(tasks):
-        group = tallies[i * config.blocks:(i + 1) * config.blocks]
-        records.append(_reduce_cell(config, gamma_db, beta, scheme, group))
-    return records
+        per_block = [run(b) for b in range(config.blocks)]
+    cells = [(gamma_db, beta, scheme) for gamma_db in config.gamma_db_grid
+             for beta in config.beta_grid for scheme in config.schemes]
+    return [_reduce_cell(config, *cell, [tallies[i] for tallies in per_block])
+            for i, cell in enumerate(cells)]
 
 
 def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float, scheme: str,
@@ -381,7 +365,7 @@ def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float, scheme: str,
                for i in range(config.n_r)]
     mi = float(np.mean(mi_vals))
     rate_factor = (1.0 - ber) if config.ee_complement else ber
-    ee = rate_factor * mi / mean_power
+    ee = energy_efficiency(rate_factor, mi, mean_power)
     return MetricsRecord(gamma_db=gamma_db, beta=beta, scheme=scheme,
                          mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
                          energy_efficiency=ee, blocks=config.blocks,

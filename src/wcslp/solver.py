@@ -29,9 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg import cholesky, get_lapack_funcs, lu_factor, solve_triangular
+from scipy.optimize import nnls
 
-from .constellation import CiGeometry
+from .constellation import CiGeometry, PskConstellation
 from .realify import RealChannel, RealDistortionMatrix
 
 # relative size of q below which the inner maximisation is treated as the
@@ -101,29 +102,11 @@ class SolveReport:
     degenerate_w_steps: int = 0
 
 
-@dataclass
-class _ApgdConstants:
-    sigma_min_sq: float
-    momentum: float
-    b: np.ndarray
-    a_inv_t: np.ndarray
-
-
-def _apgd_constants(geometry: CiGeometry) -> _ApgdConstants:
+def _momentum(constellation: PskConstellation) -> float:
     # Momentum for the strongly convex projected-gradient step; the NNLS
     # Hessian is 2 (A A^T)^{-1}, condition number (sigma_max/sigma_min)^2.
-    kappa = (geometry.sigma_max / geometry.sigma_min) ** 2
-    momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    a_inv_t = geometry.a_inv.T
-    b = np.eye(geometry.a.shape[0]) - geometry.sigma_min ** 2 * (a_inv_t @ geometry.a_inv)
-    return _ApgdConstants(sigma_min_sq=geometry.sigma_min ** 2, momentum=momentum,
-                          b=b, a_inv_t=a_inv_t)
-
-
-def _diag_blocks(mats: np.ndarray) -> np.ndarray:
-    """2x2 diagonal blocks (S, n, 2, 2) of stacked block-diagonal matrices."""
-    s, n = mats.shape[0], mats.shape[1] // 2
-    return np.ascontiguousarray(np.einsum("sjajb->sjab", mats.reshape(s, n, 2, n, 2)))
+    kappa = (constellation.sigma_max / constellation.sigma_min) ** 2
+    return (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
 def _bmv(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -146,29 +129,33 @@ class _Slots:
     """CI constants of a stack of symbol slots, one row per slot.
 
     The matrices are block diagonal with 2x2 blocks (one per user), so only
-    the blocks are kept.  The slack-step constants come from
-    :func:`_apgd_constants`.
+    the blocks are kept, each a row of a table of the slots' constellation;
+    sigma_min and the momentum are constants of that constellation.
     """
 
     ds: np.ndarray              # (S, 2 n_r)  D s
     a_inv: np.ndarray           # (S, n_r, 2, 2)  A^{-1}
     a_inv_t: np.ndarray         # A^{-T}
     b: np.ndarray               # I - sigma_min^2 A^{-T} A^{-1}
-    sigma_min_sq: np.ndarray    # (S, 1)
-    momentum: np.ndarray        # (S, 1)
+    sigma_min_sq: float
+    momentum: float
 
     def take(self, rows) -> "_Slots":
-        return _Slots(**{name: value[rows] for name, value in vars(self).items()})
+        return _Slots(self.ds[rows], self.a_inv[rows], self.a_inv_t[rows], self.b[rows],
+                      self.sigma_min_sq, self.momentum)
 
 
 def _slots(geometries) -> _Slots:
-    consts = [_apgd_constants(gm) for gm in geometries]
-    return _Slots(ds=np.stack([gm.d @ gm.s for gm in geometries]),
-                  a_inv=_diag_blocks(np.stack([gm.a_inv for gm in geometries])),
-                  a_inv_t=_diag_blocks(np.stack([c.a_inv_t for c in consts])),
-                  b=_diag_blocks(np.stack([c.b for c in consts])),
-                  sigma_min_sq=np.array([[c.sigma_min_sq] for c in consts]),
-                  momentum=np.array([[c.momentum] for c in consts]))
+    const = geometries[0].constellation
+    if len({(gm.constellation.order, gm.constellation.phase_offset) for gm in geometries}) > 1:
+        raise ValueError("all slots of a batch must share one constellation")
+    symbols = np.stack([gm.symbols for gm in geometries])
+    a_inv_t = np.swapaxes(const.normals_inv, 1, 2)
+    sigma_min_sq = const.sigma_min ** 2
+    b = np.eye(2) - sigma_min_sq * (a_inv_t @ const.normals_inv)
+    return _Slots(ds=np.stack([gm.ds for gm in geometries]),
+                  a_inv=const.normals_inv[symbols], a_inv_t=a_inv_t[symbols],
+                  b=b[symbols], sigma_min_sq=sigma_min_sq, momentum=_momentum(const))
 
 
 @dataclass(repr=False)
@@ -208,7 +195,7 @@ class ProblemInstance:
         self.evals, self.evecs = np.linalg.eigh(self.hth)
         self.poles = self.evals + 1.0 / self.beta
         self.lam_bar_max = float(self.evals[-1] + 1.0 / self.beta)
-        self.ds = self.geometry.d @ self.geometry.s
+        self.ds = self.geometry.ds
         self.slots = _slots([self.geometry])
 
     def apply_p_inv(self, x: np.ndarray) -> np.ndarray:
@@ -220,7 +207,7 @@ def phi(t, geometry: CiGeometry) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("slack t must be componentwise non-negative")
-    return geometry.d @ geometry.s + geometry.a_inv @ t
+    return geometry.ds + (geometry.a_inv_blocks @ t.reshape(-1, 2, 1)).ravel()
 
 
 def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
@@ -722,10 +709,11 @@ def solve_batch(proto: ProblemInstance, geometries,
     """Run the solver loop for many symbol slots of one channel at once.
 
     All slots share the channel, distortion matrix, beta and epsilon of
-    ``proto``; ``geometries`` supplies one CiGeometry per slot.  Row j goes
-    through the same update sequence as :func:`solve` on slot j and leaves
-    the loop when its own termination test fires.  Used by the link
-    simulator, where per-symbol sequential solves would dominate the runtime.
+    ``proto``; ``geometries`` supplies one CiGeometry per slot, all of one
+    constellation, whose tables give every slot's slack-step constants.  Row
+    j goes through the same update sequence as :func:`solve` on slot j and
+    leaves the loop when its own termination test fires.  The link simulator
+    calls it once per (block, gamma, beta) with the block's slots.
     """
     return _bcd(proto, _slots(list(geometries)), config or SolverConfig())
 
@@ -738,14 +726,11 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
     eliminating x = H^+ (D s + A^{-1} t) and handing the reduced problem to
     an exact non-negative least-squares solver.
     """
-    from scipy.linalg import cholesky, solve_triangular
-    from scipy.optimize import nnls
-
     h = channel.matrix
     svals = np.linalg.svd(h, compute_uv=False)
     if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
         raise ValueError("channel must have full row rank")
-    ds = geometry.d @ geometry.s
+    ds = geometry.ds
     chol = cholesky(h @ h.T, lower=True)
     # ||H^+ Phi(t)||^2 = ||L^{-1} Phi(t)||^2 with H H^T = L L^T
     design = solve_triangular(chol, geometry.a_inv, lower=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from wcslp.constellation import (PskConstellation, UnsupportedConstellationError,
                                  build_ci_geometry, ci_margin, ci_normals,
@@ -61,11 +62,36 @@ def test_normals_unit_rows_and_invertible():
             assert abs(np.linalg.det(a)) > 1e-6
 
 
+@pytest.mark.parametrize("order", [4, 8, 16, 32])
+def test_normal_table_closed_forms(order):
+    rng = np.random.default_rng(order)
+    for offset in rng.uniform(-math.pi, math.pi, 5):
+        const = PskConstellation(order, offset)
+        for m in range(order):
+            a = ci_normals(m, const)
+            np.testing.assert_array_equal(const.normals[m], a)
+            np.testing.assert_array_equal(const.normals_inv[m], np.linalg.inv(a))
+            # svd's error is relative to ||A||: at M = 32 its sigma_min is
+            # off the exact value of the rounded A by up to 8e-15 relative
+            svals = np.linalg.svd(a, compute_uv=False)
+            assert abs(const.sigma_max - svals[0]) <= 2e-15 * svals[0]
+            assert abs(const.sigma_min - svals[1]) <= 2e-15 * svals[0]
+        geom = build_ci_geometry(rng.integers(0, order, 5), rng.uniform(1, 10, 5),
+                                 1.0, const)
+        np.testing.assert_array_equal(geom.a, block_diag(*geom.a_blocks))
+        np.testing.assert_array_equal(geom.a_inv, block_diag(*geom.a_inv_blocks))
+        assert not (geom.a.flags.writeable or geom.a_inv.flags.writeable)
+        if order == 4:
+            # orthonormal normals: the accelerated slack step has no momentum
+            assert const.sigma_min == const.sigma_max == 1.0
+
+
 def test_geometry_scaling_matrix():
+    # D s scales each user's symbol by sigma_i sqrt(gamma_i)
     geom = build_ci_geometry([0], [4.0], [1.0], QPSK)
-    np.testing.assert_allclose(geom.d, 2 * np.eye(2))
+    np.testing.assert_allclose(geom.ds, 2 * QPSK.point(0))
     geom2 = build_ci_geometry([0, 1], [1.0, 9.0], [1.0, 1.0], QPSK)
-    np.testing.assert_allclose(np.diag(geom2.d), [1, 1, 3, 3])
+    np.testing.assert_allclose(geom2.ds, np.concatenate([QPSK.point(0), 3 * QPSK.point(1)]))
 
 
 def test_geometry_rejects_bad_inputs():
@@ -85,13 +111,9 @@ def test_geometry_permutation_equivariance():
     geom_p = build_ci_geometry([symbols[p] for p in perm], gammas[perm],
                                sigmas[perm], QPSK)
     for new_i, old_i in enumerate(perm):
-        sl_new = slice(2 * new_i, 2 * new_i + 2)
-        sl_old = slice(2 * old_i, 2 * old_i + 2)
-        np.testing.assert_allclose(geom_p.a[sl_new, sl_new],
-                                   geom.a[sl_old, sl_old])
-        np.testing.assert_allclose(geom_p.s[sl_new], geom.s[sl_old])
-        np.testing.assert_allclose(np.diag(geom_p.d)[sl_new],
-                                   np.diag(geom.d)[sl_old])
+        np.testing.assert_allclose(geom_p.a_blocks[new_i], geom.a_blocks[old_i])
+        np.testing.assert_allclose(geom_p.ds[2 * new_i:2 * new_i + 2],
+                                   geom.ds[2 * old_i:2 * old_i + 2])
 
 
 def test_ml_detect_examples():

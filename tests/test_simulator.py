@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import wcslp.simulator as simulator_module
 from wcslp.constellation import PskConstellation
 from wcslp.realify import RealDistortionMatrix, build_real_channel
 from wcslp.simulator import (DISTORTION_PRESETS, DistortionSpec, SweepConfig,
@@ -162,6 +164,28 @@ def test_run_sweep_parallel_invariant():
     serial = run_sweep(cfg)
     parallel = run_sweep(replace(cfg, parallel=4))
     assert [asdict(r) for r in serial] == [asdict(r) for r in parallel]
+
+
+def test_block_is_the_work_unit(monkeypatch):
+    calls = Counter()
+    for name in ("_block_draws", "nominal_slp", "solve_batch"):
+        def counted(*args, _name=name, _original=getattr(simulator_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(simulator_module, name, counted)
+    cfg = small_config(beta_grid=(1.0, 100.0))
+    records = run_sweep(cfg)
+    gammas, betas = cfg.gamma_db_grid, cfg.beta_grid
+    assert calls["_block_draws"] == cfg.blocks
+    assert calls["nominal_slp"] == cfg.blocks * len(gammas) * cfg.symbols_per_block
+    assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
+    got = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
+    for g in gammas:
+        for scheme in ("nominal-slp", "nominal-under-distortion"):
+            rows = [got[(g, b, scheme)] | {"beta": None} for b in betas]
+            assert all(row == rows[0] for row in rows)
+        assert got[(g, 1.0, "nominal-slp")]["mean_power"] == \
+            got[(g, 1.0, "nominal-under-distortion")]["mean_power"]
 
 
 def test_run_sweep_zero_noise_nominal_ber_zero():

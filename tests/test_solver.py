@@ -5,7 +5,7 @@ import pytest
 
 import wcslp.solver as solver_module
 
-from wcslp.constellation import CiGeometry, PskConstellation, build_ci_geometry
+from wcslp.constellation import PskConstellation, build_ci_geometry
 from wcslp.realify import build_real_channel, build_real_distortion
 from wcslp.solver import (ProblemInstance, SecularPoleError, SolverConfig,
                           SolverState, apgd_t_step,
@@ -34,12 +34,12 @@ def scalar_point(inst):
 
 
 def test_phi_examples():
-    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2),
-                      s=np.array([1.0, 0.0]), gammas=np.array([4.0]),
-                      sigmas=np.array([1.0]), symbols=np.array([0]),
-                      constellation=QPSK)
-    np.testing.assert_allclose(phi(np.zeros(2), geom), [2, 0])
-    np.testing.assert_allclose(phi(np.array([1.0, 2.0]), geom), [3, 2])
+    # QPSK symbol 0 sits at (1, 1)/sqrt(2), and its A = A^{-1} swaps the two
+    # components
+    geom = build_ci_geometry([0], [4.0], [1.0], QPSK)
+    root2 = math.sqrt(2)
+    np.testing.assert_allclose(phi(np.zeros(2), geom), [root2, root2])
+    np.testing.assert_allclose(phi(np.array([1.0, 2.0]), geom), [root2 + 2, root2 + 1])
     with pytest.raises(ValueError):
         phi(np.array([-0.1, 0.0]), geom)
 
@@ -55,7 +55,7 @@ def test_phi_linearity():
 
 def test_relaxed_objective_zero_point():
     inst = scalar_instance(beta=7.0)
-    ds = inst.geometry.d @ inst.geometry.s
+    ds = inst.geometry.ds
     got = relaxed_objective(np.zeros(2), np.zeros(2), np.zeros(2), inst)
     assert got == pytest.approx(7.0 * float(ds @ ds))
 
@@ -156,20 +156,18 @@ def test_worst_case_w_degenerate_is_top_eigvec():
 
 
 def test_apgd_step_identity_geometry():
-    # A = I makes B = 0 and the step exact: t = max(residual, 0)
-    geom = CiGeometry(a=np.eye(2), d=2 * np.eye(2),
-                      s=np.array([1.0, 0.0]), gammas=np.array([4.0]),
-                      sigmas=np.array([1.0]), symbols=np.array([0]),
-                      constellation=QPSK)
+    # QPSK symbol 0's A is a permutation, which makes B = 0 and the step
+    # exact: t = max(A r, 0) for the residual r
+    geom = build_ci_geometry([0], [4.0], [1.0], QPSK)
     chan = build_real_channel([[1.0 + 0j]])
     g = build_real_distortion([[1.0 + 0j]])
     inst = ProblemInstance(chan, g, geom, 1.0, 0.0)
-    # choose u so that H (G u + w) - D s = (0.5, -0.3)
-    u = geom.d @ geom.s + np.array([0.5, -0.3])
+    # choose u so that H (G u + w) - D s = (-0.3, 0.5)
+    u = geom.ds + np.array([-0.3, 0.5])
     state = SolverState(u=u, t=np.zeros(2), z=np.zeros(2), w=np.zeros(2))
     t_new, z_new = apgd_t_step(state, inst)
     np.testing.assert_allclose(t_new, [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(z_new, t_new)  # momentum is 0 for A = I
+    np.testing.assert_array_equal(z_new, t_new)  # the momentum of QPSK is 0
     assert t_new.min() >= 0
 
 
@@ -304,14 +302,14 @@ def test_nominal_slp_feasibility_and_oracle():
         geom = build_ci_geometry(rng.integers(0, 4, 2), np.full(2, 8.0),
                                  np.ones(2), QPSK)
         x, t = nominal_slp(chan, geom)
-        target = geom.d @ geom.s + geom.a_inv @ t
+        target = geom.ds + geom.a_inv @ t
         np.testing.assert_allclose(chan.matrix @ x, target, atol=1e-9)
         assert t.min() >= 0
         # compare against the independent projected-gradient oracle
         hht = chan.matrix @ chan.matrix.T
         chol = np.linalg.cholesky(hht)
         design = np.linalg.solve(chol, geom.a_inv)
-        rhs = -np.linalg.solve(chol, geom.d @ geom.s)
+        rhs = -np.linalg.solve(chol, geom.ds)
         t_ref = projected_gradient_nnls(design, rhs)
         np.testing.assert_allclose(t, t_ref, atol=1e-6)
 

@@ -1,5 +1,4 @@
 import wcslp.solver as solver_module
-from wcslp.solver import _apgd_constants
 from wcslp.validation import (check_apgd_oracle, check_bracketing,
                               check_fixed_point, check_root_parity,
                               check_sphere_dominance, run_all)
@@ -20,12 +19,9 @@ def test_checks_are_deterministic():
 
 
 def test_wrong_momentum_sign_fails_apgd_oracle(monkeypatch):
-    def flipped(geometry):
-        const = _apgd_constants(geometry)
-        const.momentum = -const.momentum
-        return const
-
-    monkeypatch.setattr(solver_module, "_apgd_constants", flipped)
+    # the check's 8-PSK instances carry a nonzero momentum (QPSK's is 0)
+    momentum = solver_module._momentum
+    monkeypatch.setattr(solver_module, "_momentum", lambda const: -momentum(const))
     result = check_apgd_oracle(n_instances=10, seed=3)
     assert not result.passed
 
