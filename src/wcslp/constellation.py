@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .realify import embed_vector
 
@@ -28,18 +27,19 @@ class PskConstellation:
     """Equiprobable unit-power M-PSK alphabet and its table of CI normals.
 
     Point m sits at angle ``phase_offset + 2*pi*m/order``; ``normals[m]`` is
-    :func:`ci_normals` of symbol m.  The default offset pi/order gives the
+    :func:`ci_normals` of symbol m.  Two constellations are equal when their
+    order and phase offset are.  The default offset pi/order gives the
     diagonal QPSK layout for order 4.  Orders below 4 are rejected: with two
     points the two sector normals are antiparallel and A is singular.
     """
 
     order: int
     phase_offset: float | None = None
-    points: np.ndarray = field(init=False, repr=False)
-    normals: np.ndarray = field(init=False, repr=False)      # (M, 2, 2) ci_normals
-    normals_inv: np.ndarray = field(init=False, repr=False)  # (M, 2, 2) inverses
-    sigma_min: float = field(init=False, repr=False)
-    sigma_max: float = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    normals: np.ndarray = field(init=False, repr=False, compare=False)      # (M, 2, 2)
+    normals_inv: np.ndarray = field(init=False, repr=False, compare=False)  # inverses
+    sigma_min: float = field(init=False, repr=False, compare=False)
+    sigma_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if int(self.order) != self.order or self.order < 4:
@@ -150,7 +150,10 @@ class CiGeometry:
 
 def _dense(blocks: np.ndarray) -> np.ndarray:
     """Read-only dense block-diagonal matrix of (n, 2, 2) blocks."""
-    out = block_diag(*blocks)
+    n = len(blocks)
+    out = np.zeros((2 * n, 2 * n))
+    diag = np.arange(n)
+    out.reshape(n, 2, n, 2)[diag, :, diag, :] = blocks
     out.flags.writeable = False
     return out
 

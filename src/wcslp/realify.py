@@ -9,8 +9,10 @@ products never need permutation fix-ups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cholesky
 
 
 def _as_complex_vector(v) -> np.ndarray:
@@ -72,12 +74,23 @@ class RealChannel:
 
     ``matrix`` has shape (2 n_r, 2 n_t); rows 2i, 2i+1 hold user i's block,
     so ``user_block(i) @ embed_vector(x)`` is (Re, Im) of the complex
-    received sample ``h_i @ x``.
+    received sample ``h_i @ x``.  ``gram_cholesky`` is computed from
+    ``matrix`` on first use and cached: treat a channel as immutable.
     """
 
     matrix: np.ndarray
     n_r: int
     n_t: int
+
+    @cached_property
+    def gram_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor L of H H^T = L L^T, valid only for the
+        unmodified ``matrix``; ValueError unless H has full row rank."""
+        h = self.matrix
+        svals = np.linalg.svd(h, compute_uv=False)
+        if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
+            raise ValueError("channel must have full row rank")
+        return cholesky(h @ h.T, lower=True)
 
     def user_block(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n_r:

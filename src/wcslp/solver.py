@@ -14,8 +14,10 @@ q = P G u - H^T Phi(t); the multiplier mu is the largest root of
     f(mu) = q^T (P - mu I)^{-2} q - eps^2,
 
 which lies in (lam_bar_max, ||q||/eps + lam_bar_max] where
-lam_bar_max = ||H||^2 + 1/beta, and f is strictly decreasing there, so a
-bisection search is exact.
+lam_bar_max = ||H||^2 + 1/beta.  f is convex and strictly decreasing there,
+so Newton from the previous iteration's multiplier, safeguarded by that
+bracket, finds it in one or two steps; bisection on the sign of f is the
+fallback that makes the search exact.
 
 One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, get_lapack_funcs, lu_factor, solve_triangular
+from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 from scipy.optimize import nnls
 
 from .constellation import CiGeometry, PskConstellation
@@ -40,8 +42,9 @@ from .realify import RealChannel, RealDistortionMatrix
 _DEGENERATE_RTOL = 1e-13
 # Up to this many rows the multiplier is found row by row; above it one
 # vectorised search serves all rows, since each numpy call costs microseconds
-# whatever its length.
-_FEW_ROWS = 4
+# whatever its length.  Measured on warm-started rows of an 8x8 sweep: about
+# 7 us per row row by row, 43-50 us for 1-10 rows vectorised, equal at 6.
+_FEW_ROWS = 5
 
 
 class SecularPoleError(ValueError):
@@ -109,10 +112,20 @@ def _momentum(constellation: PskConstellation) -> float:
     return (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
-def _bmv(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix times vector, row by row."""
-    s, n = vec.shape[0], blocks.shape[1]
-    return (blocks @ vec.reshape(s, n, 2, 1)).reshape(s, 2 * n)
+def _columns(table: np.ndarray) -> np.ndarray:
+    """The columns of (..., 2, 2) blocks as one leading axis: out[c] = table[..., :, c]."""
+    return np.moveaxis(table, -1, 0)
+
+
+def _bmv(cols: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix times vector, row by row, from the block columns.
+
+    Two products and a sum per column pair: a stacked ``matmul`` of 2x2
+    blocks makes one small BLAS call per block, several times slower on a
+    batch of slots.
+    """
+    v = vec.reshape(cols.shape[1:])
+    return (cols[0] * v[..., :1] + cols[1] * v[..., 1:]).reshape(vec.shape)
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -129,33 +142,35 @@ class _Slots:
     """CI constants of a stack of symbol slots, one row per slot.
 
     The matrices are block diagonal with 2x2 blocks (one per user), so only
-    the blocks are kept, each a row of a table of the slots' constellation;
+    the blocks are kept, each a row of a table of the slots' constellation,
+    and as :func:`_columns` (shape (2, S, n_r, 2)) for :func:`_bmv`;
     sigma_min and the momentum are constants of that constellation.
     """
 
     ds: np.ndarray              # (S, 2 n_r)  D s
-    a_inv: np.ndarray           # (S, n_r, 2, 2)  A^{-1}
+    a_inv: np.ndarray           # columns of A^{-1}
     a_inv_t: np.ndarray         # A^{-T}
     b: np.ndarray               # I - sigma_min^2 A^{-T} A^{-1}
     sigma_min_sq: float
     momentum: float
 
     def take(self, rows) -> "_Slots":
-        return _Slots(self.ds[rows], self.a_inv[rows], self.a_inv_t[rows], self.b[rows],
-                      self.sigma_min_sq, self.momentum)
+        return _Slots(self.ds[rows], self.a_inv[:, rows], self.a_inv_t[:, rows],
+                      self.b[:, rows], self.sigma_min_sq, self.momentum)
 
 
 def _slots(geometries) -> _Slots:
     const = geometries[0].constellation
-    if len({(gm.constellation.order, gm.constellation.phase_offset) for gm in geometries}) > 1:
+    if any(gm.constellation != const for gm in geometries):
         raise ValueError("all slots of a batch must share one constellation")
     symbols = np.stack([gm.symbols for gm in geometries])
     a_inv_t = np.swapaxes(const.normals_inv, 1, 2)
     sigma_min_sq = const.sigma_min ** 2
     b = np.eye(2) - sigma_min_sq * (a_inv_t @ const.normals_inv)
     return _Slots(ds=np.stack([gm.ds for gm in geometries]),
-                  a_inv=const.normals_inv[symbols], a_inv_t=a_inv_t[symbols],
-                  b=b[symbols], sigma_min_sq=sigma_min_sq, momentum=_momentum(const))
+                  a_inv=_columns(const.normals_inv)[:, symbols],
+                  a_inv_t=_columns(a_inv_t)[:, symbols], b=_columns(b)[:, symbols],
+                  sigma_min_sq=sigma_min_sq, momentum=_momentum(const))
 
 
 @dataclass(repr=False)
@@ -244,21 +259,31 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
                      config: SolverConfig, mu_hint: float | None = None) -> float:
     """Largest secular root from precomputed eigen-parts.
 
-    Bisection on the analytic bracket, with a warm-start window around
-    ``mu_hint`` and a bracket-safeguarded Newton finish.  f is convex and
-    strictly decreasing right of the poles, and f(lo) > 0 throughout, so
-    Newton started at lo climbs monotonically to the root; a warm start in
-    the bracket is a better start still.
+    f is convex and strictly decreasing right of the poles, so Newton
+    started left of the root climbs monotonically to it, and from the right
+    its first step lands left of the root.  A warm start ``mu_hint`` inside
+    the analytic bracket (lam (1 + inset), ||q||/eps + lam] starts Newton at
+    once: it is within rounding of the root on most outer iterations.  It
+    may exceed hi by rounding, since hi is the root when q lies on the top
+    eigenvector, as in the two-cycle; it still serves within the mu tolerance.
+    Without one, or when a Newton step leaves the bracket (the root may lie
+    left of the inset point), the bracket is verified by the sign of f,
+    narrowed around the hint and bisected, and Newton finishes from there
+    with bisection as its safeguard.
     """
     eps2 = eps * eps
     qn = math.sqrt(float(qt2.sum()))
+    lo = lam * (1.0 + config.bracket_inset)
+    hi = qn / eps + lam
+    if mu_hint is not None and lo < mu_hint <= hi + config.mu_tol * max(1.0, hi):
+        mu = _newton(qt2, poles, eps2, mu_hint, lo, hi, config, verified=False)
+        if mu is not None:
+            return mu
 
     def f(mu):
         diff = poles - mu
         return float(qt2 @ (1.0 / (diff * diff))) - eps2
 
-    lo = lam * (1.0 + config.bracket_inset)
-    hi = qn / eps + lam
     f_lo = f(lo)
     if f_lo <= 0.0:
         # Root squeezed between the pole boundary and the inset point: scan
@@ -290,10 +315,8 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
             raise RootSearchError(
                 f"secular function positive beyond the bracket: lam_bar_max={lam!r}")
         if mu_hint is not None and lo < mu_hint:
-            # warm start from the previous outer iteration: probe a small
-            # window around the hint to collapse most of the bracket.  The
-            # hint may exceed hi by rounding: hi is the root when q lies on
-            # the top eigenvector, as it does in the two-cycle.
+            # probe a small window around the warm start to collapse most of
+            # the bracket
             mu_hint = min(mu_hint, hi)
             if f(mu_hint) > 0.0:
                 lo = mu_hint
@@ -321,10 +344,17 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
         raise RootSearchError(
             f"bisection failed to converge: bracket=({lo!r}, {hi!r})")
 
-    # Newton from the warm start if it is still in the bracket: it is within
-    # rounding of the root on most outer iterations
-    mu = mu_hint if mu_hint is not None and lo <= mu_hint <= hi else lo
-    for _ in range(60):  # bracket-safeguarded Newton to the mu tolerance
+    start = mu_hint if mu_hint is not None and lo <= mu_hint <= hi else lo
+    return _newton(qt2, poles, eps2, start, lo, hi, config, verified=True)
+
+
+def _newton(qt2, poles, eps2, mu, lo, hi, config: SolverConfig, verified: bool):
+    """Bracket-safeguarded Newton from mu to the mu tolerance.
+
+    A step that leaves (lo, hi) bisects the bracket if f changes sign on it
+    (``verified``) and returns None otherwise.
+    """
+    for _ in range(60):
         diff = poles - mu
         r = qt2 / (diff * diff)
         f_mu = float(r.sum()) - eps2
@@ -339,14 +369,69 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
             if lo <= nxt <= hi:
                 mu = nxt
             break
-        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        if lo < nxt < hi:
+            mu = nxt
+        elif verified:
+            mu = 0.5 * (lo + hi)
+        else:
+            return None
     return float(mu)
 
 
 def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
                 config: SolverConfig) -> np.ndarray:
-    """:func:`_root_from_parts` vectorised over rows: bisection to the same
-    width, then the same bracket-safeguarded Newton finish."""
+    """:func:`_root_from_parts` vectorised over rows: Newton from the warm
+    starts inside the analytic bracket; the other rows, and those whose
+    Newton step left the bracket, bisect to the same width and run the same
+    Newton finish."""
+    poles, eps, lam = instance.poles, instance.epsilon, instance.lam_bar_max
+    lo = np.full(len(qt2), lam * (1.0 + config.bracket_inset))
+    hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
+    mu = np.empty(len(qt2))
+    # True for NaN (no previous multiplier)
+    cold = ~((lo < hint) & (hint <= hi + config.mu_tol * np.maximum(1.0, hi)))
+    warm = np.flatnonzero(~cold)
+    if warm.size:
+        root, left = _newton_many(qt2[warm], poles, eps * eps, hint[warm], lo[warm],
+                                  hi[warm], config, verified=False)
+        mu[warm] = root
+        cold[warm[left]] = True
+    rows = np.flatnonzero(cold)
+    if rows.size:
+        mu[rows] = _roots_cold(qt2[rows], hint[rows], lo[rows], hi[rows], instance, config)
+    return mu
+
+
+def _newton_many(qt2, poles, eps2, root, lo, hi, config: SolverConfig, verified: bool):
+    """:func:`_newton` row-wise; returns the roots and the rows whose step
+    left an unverified bracket (their roots are meaningless)."""
+    pending = np.ones(len(root), dtype=bool)
+    left = np.zeros(len(root), dtype=bool)
+    for _ in range(60):
+        diff = poles - root[:, None]
+        r = qt2 / (diff * diff)
+        f_mu = r.sum(axis=1) - eps2
+        pos = f_mu > 0.0
+        lo = np.where(pos, np.maximum(lo, root), lo)
+        hi = np.where(pos, hi, np.minimum(hi, root))
+        slope = 2.0 * (r / diff).sum(axis=1)
+        nxt = root - f_mu / slope    # slope < 0: some q component is nonzero
+        done = np.abs(nxt - root) <= config.mu_tol * np.maximum(1.0, np.abs(root))
+        inside = np.where(done, (lo <= nxt) & (nxt <= hi), (lo < nxt) & (nxt < hi))
+        if not verified:
+            left |= pending & ~done & ~inside
+            done |= left
+        nxt = np.where(inside, nxt, np.where(done, root, 0.5 * (lo + hi)))
+        root = np.where(pending, nxt, root)
+        pending &= ~done
+        if not pending.any():
+            break
+    return root, left
+
+
+def _roots_cold(qt2, hint, lo, hi, instance: ProblemInstance, config: SolverConfig):
+    """Rows of :func:`_roots_many` without a usable warm start: the bracket
+    of :func:`_root_from_parts`, row-wise, then the verified Newton finish."""
     poles, eps, lam = instance.poles, instance.epsilon, instance.lam_bar_max
     eps2 = eps * eps
 
@@ -355,7 +440,6 @@ def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
         return np.sum(qt2 / (diff * diff), axis=1) - eps2
 
     mu = np.empty(len(qt2))
-    lo = np.full(len(qt2), lam * (1.0 + config.bracket_inset))
     squeezed = f(lo) <= 0.0
     if np.any(squeezed):
         # root squeezed against the pole: the row-wise search scans for it
@@ -364,8 +448,7 @@ def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
         rows = np.flatnonzero(~squeezed)
         if rows.size == 0:
             return mu
-        qt2, hint, lo = qt2[rows], hint[rows], lo[rows]
-    hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
+        qt2, hint, lo, hi = qt2[rows], hint[rows], lo[rows], hi[rows]
 
     # warm start: probe a small window around the previous multiplier
     hint = np.minimum(hint, hi)         # as in _root_from_parts
@@ -394,23 +477,7 @@ def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
         raise RootSearchError("bisection failed to converge")
 
     root = np.where((lo <= hint) & (hint <= hi), hint, lo)
-    pending = np.ones(len(root), dtype=bool)
-    for _ in range(60):
-        diff = poles - root[:, None]
-        r = qt2 / (diff * diff)
-        f_mu = r.sum(axis=1) - eps2
-        pos = f_mu > 0.0
-        lo = np.where(pos, np.maximum(lo, root), lo)
-        hi = np.where(pos, hi, np.minimum(hi, root))
-        slope = 2.0 * (r / diff).sum(axis=1)
-        nxt = root - f_mu / slope    # slope < 0: some q component is nonzero
-        done = np.abs(nxt - root) <= config.mu_tol * np.maximum(1.0, np.abs(root))
-        inside = np.where(done, (lo <= nxt) & (nxt <= hi), (lo < nxt) & (nxt < hi))
-        nxt = np.where(inside, nxt, np.where(done, root, 0.5 * (lo + hi)))
-        root = np.where(pending, nxt, root)
-        pending &= ~done
-        if not pending.any():
-            break
+    root = _newton_many(qt2, poles, eps2, root, lo, hi, config, verified=True)[0]
     if np.any(squeezed):
         mu[rows] = root
         return mu
@@ -519,11 +586,11 @@ def solve_mu(u, t, instance: ProblemInstance, config: SolverConfig | None = None
              mu_hint: float | None = None) -> float:
     """Largest root of the secular equation, as the solver loop finds it.
 
-    f is strictly decreasing right of the pole boundary, so the sign of f
-    steers a bisection on the bracket; bracket-safeguarded Newton steps
-    finish the root to the configured tolerance.  Returns lam_bar_max for the
-    degenerate q = 0 case (the caller then builds w from the top eigenvector
-    of P).
+    Newton from the warm start ``mu_hint`` when it lies in the bracket,
+    otherwise bisection on the sign of f and a Newton finish, both to the
+    configured tolerance (see :func:`_root_from_parts`).  Returns lam_bar_max
+    for the degenerate q = 0 case (the caller then builds w from the top
+    eigenvector of P).
     """
     if instance.epsilon <= 0:
         raise ValueError("solve_mu requires epsilon > 0")
@@ -724,14 +791,12 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
 
     Solves min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0, by
     eliminating x = H^+ (D s + A^{-1} t) and handing the reduced problem to
-    an exact non-negative least-squares solver.
+    an exact non-negative least-squares solver.  The channel's Cholesky
+    factor is computed on its first design and shared by the later ones.
     """
     h = channel.matrix
-    svals = np.linalg.svd(h, compute_uv=False)
-    if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
-        raise ValueError("channel must have full row rank")
+    chol = channel.gram_cholesky
     ds = geometry.ds
-    chol = cholesky(h @ h.T, lower=True)
     # ||H^+ Phi(t)||^2 = ||L^{-1} Phi(t)||^2 with H H^T = L L^T
     design = solve_triangular(chol, geometry.a_inv, lower=True)
     target = -solve_triangular(chol, ds, lower=True)

@@ -21,6 +21,13 @@ def test_default_offset_is_diagonal_qpsk():
     assert np.mean(np.abs(QPSK.points) ** 2) == pytest.approx(1.0)
 
 
+def test_equality_is_order_and_offset():
+    assert PskConstellation(4) == PskConstellation(4)
+    assert PskConstellation(4) == PskConstellation(4, math.pi / 4)
+    assert PskConstellation(4, 0.0) != PskConstellation(4)
+    assert PskConstellation(8) != PskConstellation(4)
+
+
 def test_small_orders_rejected():
     with pytest.raises(UnsupportedConstellationError):
         PskConstellation(2)

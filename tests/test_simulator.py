@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import wcslp.realify as realify_module
 import wcslp.simulator as simulator_module
 from wcslp.constellation import PskConstellation
 from wcslp.realify import RealDistortionMatrix, build_real_channel
@@ -168,15 +169,18 @@ def test_run_sweep_parallel_invariant():
 
 def test_block_is_the_work_unit(monkeypatch):
     calls = Counter()
-    for name in ("_block_draws", "nominal_slp", "solve_batch"):
-        def counted(*args, _name=name, _original=getattr(simulator_module, name), **kwargs):
+    counted_calls = [(simulator_module, name)
+                     for name in ("_block_draws", "nominal_slp", "solve_batch")]
+    for module, name in counted_calls + [(realify_module, "cholesky")]:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(simulator_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = small_config(beta_grid=(1.0, 100.0))
     records = run_sweep(cfg)
     gammas, betas = cfg.gamma_db_grid, cfg.beta_grid
     assert calls["_block_draws"] == cfg.blocks
+    assert calls["cholesky"] == cfg.blocks      # one factor per channel
     assert calls["nominal_slp"] == cfg.blocks * len(gammas) * cfg.symbols_per_block
     assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
     got = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}

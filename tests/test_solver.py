@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -317,8 +318,9 @@ def test_nominal_slp_feasibility_and_oracle():
 def test_nominal_slp_rejects_rank_deficient():
     chan = build_real_channel([[1.0 + 0j, 0.0], [1.0 + 0j, 0.0]])
     geom = build_ci_geometry([0, 1], [4.0, 4.0], [1.0, 1.0], QPSK)
-    with pytest.raises(ValueError):
-        nominal_slp(chan, geom)
+    for _ in range(2):  # the channel caches no failed factorisation
+        with pytest.raises(ValueError):
+            nominal_slp(chan, geom)
 
 
 def test_count_secular_roots_scalar():
@@ -425,29 +427,70 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     assert not np.all(batch.mu == proto.lam_bar_max)
 
 
-def test_few_and_many_row_root_searches_agree():
+def test_few_and_many_row_root_searches_agree(monkeypatch):
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
     cfg = SolverConfig()
-    rows = [random_point(rng, inst) for _ in range(6)]
-    qt2 = np.array([solver_module._one_row_parts(u, t, inst)[3][0] for u, t in rows])
-    # a squeezed root: q along the top eigenvector, so small that the root
-    # lies between the pole boundary and the inset point
-    lam = inst.lam_bar_max
+    lam, poles, eps = inst.lam_bar_max, inst.poles, inst.epsilon
+    qt2 = [solver_module._one_row_parts(*random_point(rng, inst), inst)[3][0]
+           for _ in range(6)]
+    # a squeezed root: q on the top eigenvector so small that the root lies
+    # between the pole boundary and the inset point, and on the lowest one
+    # large enough that hi lies well right of the inset point
     squeezed = np.zeros(8)
-    squeezed[-1] = (0.5 * cfg.bracket_inset * lam * inst.epsilon) ** 2
-    qt2 = np.vstack([qt2, squeezed])
-    assert solver_module._secular_from_parts(
-        lam * (1 + cfg.bracket_inset), squeezed, inst.poles, inst.epsilon) <= 0.0
-    hint = np.full(len(qt2), np.nan)
-    hint[:3] = [1.01 * lam, 2.0 * lam, 1e3 * lam]   # warm starts, in and out of range
+    squeezed[-1] = (0.5 * cfg.bracket_inset * lam * eps) ** 2
+    squeezed[0] = (0.5 * (lam - poles[0]) * eps) ** 2
+    # most of ||q|| on the lowest pole: the root lies near the pole boundary,
+    # hi about ten times as far from it, and Newton from hi leaves the bracket
+    lopsided = np.zeros(8)
+    lopsided[-1] = (0.01 * (lam - poles[0]) * eps) ** 2
+    lopsided[0] = 100.0 * lopsided[-1]
+    # q on the top eigenvector alone, as in the two-cycle: the root is hi
+    top = np.zeros(8)
+    top[-1] = (0.3 * lam * eps) ** 2
+    qt2 = np.vstack(qt2 + [top, squeezed, lopsided])
+    lo = lam * (1 + cfg.bracket_inset)
+    hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
+    assert solver_module._secular_from_parts(lo, squeezed, poles, eps) <= 0.0
+    assert hi[-2] > 1.1 * lo
+    diff = poles - hi[-1]
+    f_hi = np.sum(lopsided / diff ** 2) - eps ** 2
+    assert hi[-1] - f_hi / (2.0 * np.sum(lopsided / diff ** 3)) < lo
     degen = np.zeros(len(qt2), dtype=bool)
     assert len(qt2) > solver_module._FEW_ROWS
-    many = solver_module._multipliers(qt2, degen, hint, inst, cfg)
-    few = np.array([solver_module._multipliers(qt2[j:j + 1], degen[:1], hint[j:j + 1],
-                                               inst, cfg)[0] for j in range(len(qt2))])
-    np.testing.assert_allclose(many, few, rtol=cfg.mu_tol, atol=0)
-    assert lam < many[-1] < lam * (1 + cfg.bracket_inset)
+
+    def search(hint):
+        many = solver_module._multipliers(qt2, degen, hint, inst, cfg)
+        few = np.array([solver_module._multipliers(qt2[j:j + 1], degen[:1], hint[j:j + 1],
+                                                   inst, cfg)[0] for j in range(len(qt2))])
+        return many, few
+
+    root = search(np.full(len(qt2), np.nan))[1]
+    assert lam < root[-2] < lo
+    assert root[-3] == pytest.approx(hi[-3], rel=1e-14)
+    hints = {"none": np.full(len(qt2), np.nan), "root": root,
+             "1e-8 above": root * (1 + 1e-8), "1e-8 below": root * (1 - 1e-8),
+             "10% right": lam + 1.1 * (root - lam), "10% left": lam + 0.9 * (root - lam),
+             "above hi": 1.5 * hi, "hi": hi}
+    for name, hint in hints.items():
+        many, few = search(hint)
+        np.testing.assert_allclose(many, few, rtol=cfg.mu_tol, atol=0, err_msg=name)
+        np.testing.assert_allclose(many, root, rtol=cfg.mu_tol, atol=0, err_msg=name)
+
+    # warm starts within rounding of the root, above hi on the top-eigenvector
+    # row, skip the probes and the bisection; only the squeezed row, alone or
+    # in the batch, takes them and then the verified Newton finish
+    finished = Counter()    # rows per verified Newton finish
+    for name in ("_newton", "_newton_many"):
+        def counted(qt2, *args, _name=name, _original=getattr(solver_module, name), **kwargs):
+            if kwargs["verified"]:
+                finished[_name] += len(np.atleast_2d(qt2))
+            return _original(qt2, *args, **kwargs)
+        monkeypatch.setattr(solver_module, name, counted)
+    hint = root * (1 + 4 * np.finfo(float).eps)
+    assert hint[-3] > hi[-3]
+    search(hint)
+    assert finished == {"_newton": 2}
 
 
 def test_objective_is_worst_case_of_returned_design():
