@@ -165,10 +165,10 @@ def build_ci_geometry(symbols, gammas, sigmas,
     n_r = symbols.size
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n_r,)).copy()
-    if np.any(gammas <= 0):
-        raise ValueError("target SNRs must be positive")
-    if np.any(sigmas <= 0):
-        raise ValueError("noise deviations must be positive")
+    if not np.all((gammas > 0) & np.isfinite(gammas)):
+        raise ValueError("target SNRs must be positive and finite")
+    if not np.all((sigmas > 0) & np.isfinite(sigmas)):
+        raise ValueError("noise deviations must be positive and finite")
     if np.any((symbols < 0) | (symbols >= constellation.order)):
         raise ValueError(f"symbol indices must lie in [0, {constellation.order})")
     return CiGeometry(symbols=symbols, gammas=gammas, sigmas=sigmas,

@@ -14,12 +14,16 @@ reuse the same draws.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+import scipy
 from scipy.stats import chi2
 
 from .constellation import PskConstellation, build_ci_geometry, ml_detect_many
@@ -316,19 +320,52 @@ def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
     return tally
 
 
+def _openblas_threads(which: str) -> list:
+    """The ``set`` or ``get`` thread-count functions of the OpenBLAS builds
+    bundled with numpy (64-bit interface, suffix ``64_``) and scipy; empty
+    for builds that bundle none."""
+    funcs = []
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs",
+                                           "libscipy_openblas*.so")):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                func = getattr(lib, f"scipy_openblas_{which}_num_threads{suffix}", None)
+                if func is not None:
+                    func.argtypes = [ctypes.c_int] if which == "set" else []
+                    func.restype = None if which == "set" else ctypes.c_int
+                    funcs.append(func)
+    return funcs
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: run BLAS on one thread.
+
+    Each worker otherwise keeps OpenBLAS's default of one thread per core,
+    and the workers' threads busy-wait against each other: on 2 cores the
+    criterion-8 configuration (8x8, 50 blocks of 100 slots) took 49-130 s at
+    ``parallel=2`` this way, 19-21 s serially and 10.5 s with one thread per
+    worker.  Results do not depend on the thread count.
+    """
+    for set_threads in _openblas_threads("set"):
+        set_threads(1)
+
+
 def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     """Evaluate every (gamma, beta, scheme) cell of the configured grid.
 
     A coherence block is the work unit (:func:`_run_block`).  With
     ``parallel > 1`` blocks are fanned out to a process pool (workers beyond
     ``blocks`` sit idle) and reduced in block order, so the records are
-    identical for any worker count.  Symbol slots whose solver did not
-    converge are counted in ``solver_failures`` and excluded from every
-    average.
+    identical for any worker count; each worker runs BLAS on one thread.
+    Symbol slots whose solver did not converge are counted in
+    ``solver_failures`` and excluded from every average.
     """
     run = partial(_run_block, config)
     if config.parallel > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=config.parallel,
+                                 initializer=_one_blas_thread) as pool:
             per_block = list(pool.map(run, range(config.blocks)))
     else:
         per_block = [run(b) for b in range(config.blocks)]

@@ -15,14 +15,19 @@ q = P G u - H^T Phi(t); the multiplier mu is the largest root of
 
 which lies in (lam_bar_max, ||q||/eps + lam_bar_max] where
 lam_bar_max = ||H||^2 + 1/beta.  f is convex and strictly decreasing there,
-so Newton from the previous iteration's multiplier, safeguarded by that
-bracket, finds it in one or two steps; bisection on the sign of f is the
-fallback that makes the search exact.
+so Newton from a warm start, safeguarded by that bracket, finds it in one or
+two steps; bisection on the sign of f is the fallback that makes the search
+exact.
+
+Inside the loop the w-step needs no root search: the exact u-update leaves
+q = -P w, so after the first step (from q = 0, the top eigenvector of P)
+the multiplier is 2 lam_bar_max and the maximiser is -w (see :func:`_bcd`).
 
 One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
 on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
-``apgd_t_step`` and ``update_u`` evaluate its steps on a single row.
+``apgd_t_step`` and ``update_u`` evaluate its steps on a single row at any
+(u, t); ``solve_mu`` runs the root search.
 """
 
 from __future__ import annotations
@@ -40,11 +45,6 @@ from .realify import RealChannel, RealDistortionMatrix
 # relative size of q below which the inner maximisation is treated as the
 # degenerate (pure eigenvector) case
 _DEGENERATE_RTOL = 1e-13
-# Up to this many rows the multiplier is found row by row; above it one
-# vectorised search serves all rows, since each numpy call costs microseconds
-# whatever its length.  Measured on warm-started rows of an 8x8 sweep: about
-# 7 us per row row by row, 43-50 us for 1-10 rows vectorised, equal at 6.
-_FEW_ROWS = 5
 
 
 class SecularPoleError(ValueError):
@@ -263,9 +263,10 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
     started left of the root climbs monotonically to it, and from the right
     its first step lands left of the root.  A warm start ``mu_hint`` inside
     the analytic bracket (lam (1 + inset), ||q||/eps + lam] starts Newton at
-    once: it is within rounding of the root on most outer iterations.  It
-    may exceed hi by rounding, since hi is the root when q lies on the top
-    eigenvector, as in the two-cycle; it still serves within the mu tolerance.
+    once: :func:`solve` passes the loop's last multiplier, the root at the
+    design it returns.  It may exceed hi by rounding, since hi is the root
+    when q lies on the top eigenvector, as in the two-cycle; it still serves
+    within the mu tolerance.
     Without one, or when a Newton step leaves the bracket (the root may lie
     left of the inset point), the bracket is verified by the sign of f,
     narrowed around the hint and bisected, and Newton finishes from there
@@ -378,127 +379,6 @@ def _newton(qt2, poles, eps2, mu, lo, hi, config: SolverConfig, verified: bool):
     return float(mu)
 
 
-def _roots_many(qt2: np.ndarray, hint: np.ndarray, instance: ProblemInstance,
-                config: SolverConfig) -> np.ndarray:
-    """:func:`_root_from_parts` vectorised over rows: Newton from the warm
-    starts inside the analytic bracket; the other rows, and those whose
-    Newton step left the bracket, bisect to the same width and run the same
-    Newton finish."""
-    poles, eps, lam = instance.poles, instance.epsilon, instance.lam_bar_max
-    lo = np.full(len(qt2), lam * (1.0 + config.bracket_inset))
-    hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
-    mu = np.empty(len(qt2))
-    # True for NaN (no previous multiplier)
-    cold = ~((lo < hint) & (hint <= hi + config.mu_tol * np.maximum(1.0, hi)))
-    warm = np.flatnonzero(~cold)
-    if warm.size:
-        root, left = _newton_many(qt2[warm], poles, eps * eps, hint[warm], lo[warm],
-                                  hi[warm], config, verified=False)
-        mu[warm] = root
-        cold[warm[left]] = True
-    rows = np.flatnonzero(cold)
-    if rows.size:
-        mu[rows] = _roots_cold(qt2[rows], hint[rows], lo[rows], hi[rows], instance, config)
-    return mu
-
-
-def _newton_many(qt2, poles, eps2, root, lo, hi, config: SolverConfig, verified: bool):
-    """:func:`_newton` row-wise; returns the roots and the rows whose step
-    left an unverified bracket (their roots are meaningless)."""
-    pending = np.ones(len(root), dtype=bool)
-    left = np.zeros(len(root), dtype=bool)
-    for _ in range(60):
-        diff = poles - root[:, None]
-        r = qt2 / (diff * diff)
-        f_mu = r.sum(axis=1) - eps2
-        pos = f_mu > 0.0
-        lo = np.where(pos, np.maximum(lo, root), lo)
-        hi = np.where(pos, hi, np.minimum(hi, root))
-        slope = 2.0 * (r / diff).sum(axis=1)
-        nxt = root - f_mu / slope    # slope < 0: some q component is nonzero
-        done = np.abs(nxt - root) <= config.mu_tol * np.maximum(1.0, np.abs(root))
-        inside = np.where(done, (lo <= nxt) & (nxt <= hi), (lo < nxt) & (nxt < hi))
-        if not verified:
-            left |= pending & ~done & ~inside
-            done |= left
-        nxt = np.where(inside, nxt, np.where(done, root, 0.5 * (lo + hi)))
-        root = np.where(pending, nxt, root)
-        pending &= ~done
-        if not pending.any():
-            break
-    return root, left
-
-
-def _roots_cold(qt2, hint, lo, hi, instance: ProblemInstance, config: SolverConfig):
-    """Rows of :func:`_roots_many` without a usable warm start: the bracket
-    of :func:`_root_from_parts`, row-wise, then the verified Newton finish."""
-    poles, eps, lam = instance.poles, instance.epsilon, instance.lam_bar_max
-    eps2 = eps * eps
-
-    def f(mu):
-        diff = poles - mu[:, None]
-        return np.sum(qt2 / (diff * diff), axis=1) - eps2
-
-    mu = np.empty(len(qt2))
-    squeezed = f(lo) <= 0.0
-    if np.any(squeezed):
-        # root squeezed against the pole: the row-wise search scans for it
-        for j in np.flatnonzero(squeezed):
-            mu[j] = _root_from_parts(qt2[j], poles, eps, lam, config)
-        rows = np.flatnonzero(~squeezed)
-        if rows.size == 0:
-            return mu
-        qt2, hint, lo, hi = qt2[rows], hint[rows], lo[rows], hi[rows]
-
-    # warm start: probe a small window around the previous multiplier
-    hint = np.minimum(hint, hi)         # as in _root_from_parts
-    ok = hint > lo                      # False for NaN (no previous multiplier)
-    if np.any(ok):
-        pos = ok & (f(np.where(ok, hint, lo)) > 0.0)
-        lo = np.where(pos, hint, lo)
-        hi = np.where(ok & ~pos, hint, hi)
-        near = np.where(pos, hint * (1.0 + 1e-4), hint * (1.0 - 1e-4))
-        ok &= (near > lo) & (near < hi)
-        if np.any(ok):
-            f_near = f(np.where(ok, near, lo))
-            hi = np.where(ok & pos & (f_near <= 0.0), near, hi)
-            lo = np.where(ok & ~pos & (f_near > 0.0), near, lo)
-
-    floor = config.mu_tol * np.maximum(1.0, hi)
-    for _ in range(300):
-        run = hi - lo > np.maximum(floor, 1e-3 * np.maximum(1.0, hi))
-        if not np.any(run):
-            break
-        mid = 0.5 * (lo + hi)
-        pos = f(mid) > 0.0
-        lo = np.where(run & pos, mid, lo)
-        hi = np.where(run & ~pos, mid, hi)
-    else:
-        raise RootSearchError("bisection failed to converge")
-
-    root = np.where((lo <= hint) & (hint <= hi), hint, lo)
-    root = _newton_many(qt2, poles, eps2, root, lo, hi, config, verified=True)[0]
-    if np.any(squeezed):
-        mu[rows] = root
-        return mu
-    return root
-
-
-def _multipliers(qt2, degen, hint, instance: ProblemInstance,
-                 config: SolverConfig) -> np.ndarray:
-    """Largest secular root per row; lam_bar_max where q = 0."""
-    lam = instance.lam_bar_max
-    if len(qt2) <= _FEW_ROWS:
-        return np.array([lam if flat else _root_from_parts(
-            q, instance.poles, instance.epsilon, lam, config, h)
-            for q, flat, h in zip(qt2, degen.tolist(), hint.tolist())])
-    mu = np.full(len(qt2), lam)
-    rows = np.flatnonzero(~degen)
-    if rows.size:
-        mu[rows] = _roots_many(qt2[rows], hint[rows], instance, config)
-    return mu
-
-
 def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
     # q = 0 leaves only the quadratic term: the maximiser is the scaled top
     # eigenvector of P; evaluate both signs in case of numerical asymmetry
@@ -511,29 +391,6 @@ def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
     return np.where(obj[1] > obj[0] * (1.0 + 1e-12), -1.0, 1.0)[:, None] * cand
 
 
-def _maximisers(qt, mu, degen, gu, phi_t, instance: ProblemInstance) -> np.ndarray:
-    """Inner maximiser w = -(P - mu I)^{-1} q per row."""
-    if not np.count_nonzero(degen):
-        return (qt / (mu[:, None] - instance.poles)) @ instance.evecs.T
-    w = np.empty_like(qt)
-    live = ~degen
-    w[live] = (qt[live] / (mu[live, None] - instance.poles)) @ instance.evecs.T
-    w[degen] = _degenerate_w(gu[degen], phi_t[degen], instance)
-    return w
-
-
-def _w_step(instance, gu, phi_t, ht_phi, hint, config, q_zero=False):
-    """Inner maximisation over w: (w, mu, rows where q = 0).
-
-    ``q_zero`` says q = 0 holds exactly, whatever its rounded value.
-    """
-    qt, qt2, degen = _w_parts(instance, gu, ht_phi)
-    if q_zero:
-        degen = np.ones_like(degen)
-    mu = _multipliers(qt2, degen, hint, instance, config)
-    return _maximisers(qt, mu, degen, gu, phi_t, instance), mu, degen
-
-
 def _t_step(instance, slots: _Slots, x, t, z):
     """Accelerated projected-gradient step on the slack, given x = G u + w."""
     r = x @ instance.h.T - slots.ds
@@ -542,12 +399,11 @@ def _t_step(instance, slots: _Slots, x, t, z):
 
 
 def _u_step(instance, slots: _Slots, t, w):
-    """Closed-form u; also returns y = P^{-1} H^T Phi(t), Phi(t) and Phi(t)^T H."""
+    """Closed-form u; also returns y = P^{-1} H^T Phi(t) and Phi(t)."""
     phi_t = slots.ds + _bmv(slots.a_inv, t)
-    ht_phi = phi_t @ instance.h
-    y = ((ht_phi @ instance.evecs) / instance.poles) @ instance.evecs.T
+    y = (((phi_t @ instance.h) @ instance.evecs) / instance.poles) @ instance.evecs.T
     u, _ = instance._getrs(*instance._g_lu, (y - w).T, overwrite_b=True)
-    return u.T, y, phi_t, ht_phi
+    return u.T, y, phi_t
 
 
 # -- single-design views of the steps ---------------------------------------
@@ -584,7 +440,7 @@ def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
 
 def solve_mu(u, t, instance: ProblemInstance, config: SolverConfig | None = None,
              mu_hint: float | None = None) -> float:
-    """Largest root of the secular equation, as the solver loop finds it.
+    """Largest root of the secular equation at (u, t).
 
     Newton from the warm start ``mu_hint`` when it lies in the bracket,
     otherwise bisection on the sign of f and a Newton finish, both to the
@@ -595,8 +451,10 @@ def solve_mu(u, t, instance: ProblemInstance, config: SolverConfig | None = None
     if instance.epsilon <= 0:
         raise ValueError("solve_mu requires epsilon > 0")
     _, _, _, qt2, degen = _one_row_parts(u, t, instance)
-    hint = np.array([np.nan if mu_hint is None else mu_hint])
-    return float(_multipliers(qt2, degen, hint, instance, config or SolverConfig())[0])
+    if degen[0]:
+        return instance.lam_bar_max
+    return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max,
+                            config or SolverConfig(), mu_hint)
 
 
 def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
@@ -604,9 +462,11 @@ def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
     if instance.epsilon == 0:
         return np.zeros(2 * instance.channel.n_t)
     gu, phi_t, qt, _, degen = _one_row_parts(u, t, instance)
-    if not degen[0] and np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
+    if degen[0]:
+        return _degenerate_w(gu, phi_t, instance)[0]
+    if np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
         raise SecularPoleError(f"shift mu={mu!r} is singular")
-    return _maximisers(qt, np.array([float(mu)]), degen, gu, phi_t, instance)[0]
+    return (qt[0] / (mu - instance.poles)) @ instance.evecs.T
 
 
 def apgd_t_step(state: SolverState, instance: ProblemInstance
@@ -634,8 +494,11 @@ def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
 class BatchSolveResult:
     """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
 
+    ``mu`` is the multiplier of the last w-step: lam_bar_max after the first
+    (q = 0), 2 lam_bar_max after any later one, NaN at eps = 0.
     ``w_norm_relerr_max`` is the largest | ||w|| / eps - 1 | over the w-steps,
-    ``degenerate_w_steps`` the number of w-steps that found q = 0.
+    ``degenerate_w_steps`` the number of w-steps that found q = 0: the first,
+    from the start, when eps > 0.
     """
 
     u: np.ndarray
@@ -660,6 +523,16 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     two-iteration window drops below ``outer_tol``.  A row that stops leaves
     the working arrays, so the remaining rows run on as if alone.  A
     ``trace`` list gets each iteration's objective after the u-update.
+
+    The w-step is in closed form.  The u-step sets
+    G u_k = P^{-1} H^T Phi(t_k) - w_k, so the next w-step's
+    q = P G u_k - H^T Phi(t_k) equals -P w_k, whatever t is (any invertible
+    G, any beta, eps > 0).  At the start q = 0, so the first w-step is the
+    degenerate one, w_1 = +-eps v_top with v_top a top eigenvector of P.
+    From then on q = -lam_bar_max w_k lies on v_top, the largest secular
+    root is mu = lam_bar_max + ||q|| / eps = 2 lam_bar_max, and the
+    maximiser q / (mu - lam_bar_max) is -w_k.  So w_k = (-1)^(k-1) w_1: the
+    sign-flipping two-cycle that :func:`solve` reports as ``limit_cycle``.
     """
     count = len(slots.ds)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
@@ -667,48 +540,42 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     t = np.zeros((count, slots.ds.shape[1]))
     z = t
     w = np.zeros((count, g_t.shape[0]))
-    mu = np.full(count, np.nan)
-    u, y, phi_t, ht_phi = _u_step(instance, slots, t, w)
+    u, y, phi_t = _u_step(instance, slots, t, w)
     gu = u @ g_t
-    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(), mu=mu.copy(),
+    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(), mu=np.full(count, np.nan),
                            iterations=np.full(count, config.max_iterations),
                            converged=np.zeros(count, dtype=bool),
                            limit_cycle=np.zeros(count, dtype=bool),
                            fixed_point_residual_max=np.zeros(count),
                            w_norm_relerr_max=np.zeros(count),
-                           degenerate_w_steps=np.zeros(count, dtype=int))
+                           degenerate_w_steps=np.full(count, int(eps > 0)))
     # the last two iterates of u and t; both start at the initial point, which
     # makes the two-iteration window equal the one-iteration one at k = 1
     u_hist, t_hist = np.array((u, u)), np.array((t, t))
     rows = np.arange(count)         # output row of each working row
     fp2_max = np.zeros(count)      # squared fixed-point residual
-    w2_range = np.full((2, count), eps * eps)     # min and max of ||w||^2 seen
-    degen_steps = np.zeros(count, dtype=int)
+    mu = np.nan
 
     def finish(sel, k, still=None):
         idx = rows[sel]
         out.u[idx], out.t[idx] = u_hist[0, sel], t_hist[0, sel]
-        out.w[idx], out.mu[idx] = w[sel], mu[sel]
+        out.w[idx], out.mu[idx] = w[sel], mu
         out.fixed_point_residual_max[idx] = np.sqrt(fp2_max[sel])
         if still is not None:
             out.iterations[idx] = k
             out.converged[idx] = True
             out.limit_cycle[idx] = ~still[0, sel]
-        out.degenerate_w_steps[idx] = degen_steps[sel]
-        if eps > 0:
-            w_norm = np.sqrt(w2_range[:, sel]) / eps
-            out.w_norm_relerr_max[idx] = np.maximum(1.0 - w_norm[0], w_norm[1] - 1.0)
 
     for k in range(1, config.max_iterations + 1):
         if eps > 0:
-            # the start is the w = 0 closed form, where q = 0 exactly
-            w, mu, degen = _w_step(instance, gu, phi_t, ht_phi, mu, config, q_zero=k == 1)
-            degen_steps += degen
-            w2 = _sq(w)
-            np.minimum(w2_range[0], w2, out=w2_range[0])
-            np.maximum(w2_range[1], w2, out=w2_range[1])
+            if k == 1:
+                w, mu = _degenerate_w(gu, phi_t, instance), instance.lam_bar_max
+                # every later w has the same norm
+                out.w_norm_relerr_max[:] = np.abs(_norms(w) / eps - 1.0)
+            else:
+                w, mu = -w, 2.0 * instance.lam_bar_max
         t, z = _t_step(instance, slots, gu + w, t_hist[0], z)
-        u, y, phi_t, ht_phi = _u_step(instance, slots, t, w)
+        u, y, phi_t = _u_step(instance, slots, t, w)
         gu = u @ g_t
         x = gu + w
         fp2_max = np.maximum(fp2_max, _sq(x - y) / _sq(phi_t))   # Phi(t) != 0
@@ -730,9 +597,8 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                 return out
             keep = ~done
             rows, slots = rows[keep], slots.take(keep)
-            u_hist, t_hist, w2_range = u_hist[:, keep], t_hist[:, keep], w2_range[:, keep]
-            (z, w, mu, gu, phi_t, ht_phi, fp2_max, degen_steps) = (
-                a[keep] for a in (z, w, mu, gu, phi_t, ht_phi, fp2_max, degen_steps))
+            u_hist, t_hist = u_hist[:, keep], t_hist[:, keep]
+            z, w, gu, fp2_max = z[keep], w[keep], gu[keep], fp2_max[keep]
     finish(np.ones(len(rows), dtype=bool), config.max_iterations)
     return out
 
@@ -757,8 +623,8 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     u, t = res.u[0], res.t[0]
     w_worst = np.zeros_like(u)
     if instance.epsilon > 0:
-        gu, phi_t, ht_phi = _row(u, t, instance)
-        w_worst = _w_step(instance, gu, phi_t, ht_phi, res.mu, config)[0][0]
+        mu = solve_mu(u, t, instance, config, float(res.mu[0]))
+        w_worst = worst_case_w(u, t, mu, instance)
     return SolveReport(u=u, t=t, w=res.w[0],
                        mu=None if instance.epsilon == 0 else float(res.mu[0]),
                        objective=relaxed_objective(u, t, w_worst, instance),

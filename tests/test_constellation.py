@@ -104,8 +104,11 @@ def test_geometry_scaling_matrix():
 def test_geometry_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ci_geometry([0, 7], [1.0, 1.0], [1.0, 1.0], QPSK)
-    with pytest.raises(ValueError):
-        build_ci_geometry([0], [-1.0], [1.0], QPSK)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_ci_geometry([0, 1], [bad, 4.0], [1.0, 1.0], QPSK)
+        with pytest.raises(ValueError):
+            build_ci_geometry([0, 1], [4.0, 4.0], [1.0, bad], QPSK)
 
 
 def test_geometry_permutation_equivariance():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -165,6 +166,26 @@ def test_run_sweep_parallel_invariant():
     serial = run_sweep(cfg)
     parallel = run_sweep(replace(cfg, parallel=4))
     assert [asdict(r) for r in serial] == [asdict(r) for r in parallel]
+
+
+def _blas_threads():
+    return [get() for get in simulator_module._openblas_threads("get")]
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    getters = simulator_module._openblas_threads("get")
+    if not getters:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    seen = []
+
+    class Probed(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.submit(_blas_threads).result(timeout=120))
+
+    monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", Probed)
+    run_sweep(replace(small_config(), parallel=2))
+    assert seen == [[1] * len(getters)]
 
 
 def test_block_is_the_work_unit(monkeypatch):

@@ -417,8 +417,8 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     proto, geoms = _batch_problem(0, 3, 12, 1e6, 0.56, cond=1e3)
     slots = solver_module._slots(geoms)
     zeros = np.zeros((len(geoms), 6))
-    u0, _, _, ht_phi = solver_module._u_step(proto, slots, zeros, zeros)
-    rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, ht_phi)[2]
+    u0, _, phi0 = solver_module._u_step(proto, slots, zeros, zeros)
+    rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
     assert 0 < np.sum(rounded_flat) < len(geoms)
     batch = _assert_batch_equals_alone(proto, geoms,
                                        SolverConfig(max_iterations=30, outer_tol=1e-6))
@@ -427,7 +427,7 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     assert not np.all(batch.mu == proto.lam_bar_max)
 
 
-def test_few_and_many_row_root_searches_agree(monkeypatch):
+def test_root_search_agrees_for_every_warm_start(monkeypatch):
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
     cfg = SolverConfig()
@@ -456,41 +456,64 @@ def test_few_and_many_row_root_searches_agree(monkeypatch):
     diff = poles - hi[-1]
     f_hi = np.sum(lopsided / diff ** 2) - eps ** 2
     assert hi[-1] - f_hi / (2.0 * np.sum(lopsided / diff ** 3)) < lo
-    degen = np.zeros(len(qt2), dtype=bool)
-    assert len(qt2) > solver_module._FEW_ROWS
 
     def search(hint):
-        many = solver_module._multipliers(qt2, degen, hint, inst, cfg)
-        few = np.array([solver_module._multipliers(qt2[j:j + 1], degen[:1], hint[j:j + 1],
-                                                   inst, cfg)[0] for j in range(len(qt2))])
-        return many, few
+        return np.array([solver_module._root_from_parts(q, poles, eps, lam, cfg, h)
+                         for q, h in zip(qt2, hint)])
 
-    root = search(np.full(len(qt2), np.nan))[1]
+    root = search([None] * len(qt2))
     assert lam < root[-2] < lo
     assert root[-3] == pytest.approx(hi[-3], rel=1e-14)
-    hints = {"none": np.full(len(qt2), np.nan), "root": root,
+    hints = {"NaN": np.full(len(qt2), np.nan), "root": root,
              "1e-8 above": root * (1 + 1e-8), "1e-8 below": root * (1 - 1e-8),
              "10% right": lam + 1.1 * (root - lam), "10% left": lam + 0.9 * (root - lam),
              "above hi": 1.5 * hi, "hi": hi}
     for name, hint in hints.items():
-        many, few = search(hint)
-        np.testing.assert_allclose(many, few, rtol=cfg.mu_tol, atol=0, err_msg=name)
-        np.testing.assert_allclose(many, root, rtol=cfg.mu_tol, atol=0, err_msg=name)
+        np.testing.assert_allclose(search(hint.tolist()), root, rtol=cfg.mu_tol, atol=0,
+                                   err_msg=name)
 
     # warm starts within rounding of the root, above hi on the top-eigenvector
-    # row, skip the probes and the bisection; only the squeezed row, alone or
-    # in the batch, takes them and then the verified Newton finish
-    finished = Counter()    # rows per verified Newton finish
-    for name in ("_newton", "_newton_many"):
-        def counted(qt2, *args, _name=name, _original=getattr(solver_module, name), **kwargs):
-            if kwargs["verified"]:
-                finished[_name] += len(np.atleast_2d(qt2))
-            return _original(qt2, *args, **kwargs)
-        monkeypatch.setattr(solver_module, name, counted)
+    # row, skip the probes and the bisection; only the squeezed row takes them
+    # and then the verified Newton finish
+    finished = Counter()
+    original = solver_module._newton
+
+    def counted(*args, **kwargs):
+        finished[kwargs["verified"]] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", counted)
     hint = root * (1 + 4 * np.finfo(float).eps)
     assert hint[-3] > hi[-3]
-    search(hint)
-    assert finished == {"_newton": 2}
+    search(hint.tolist())
+    assert finished == {False: len(qt2) - 1, True: 1}
+
+
+def test_loop_w_step_is_the_inner_maximiser_of_the_previous_iterate():
+    # The exact u-update leaves q = -P w, so the loop's closed-form w-step
+    # (w -> -w) must equal the root-search maximiser at the iterate it follows.
+    rng = np.random.default_rng(16)
+    checked = 0
+    for n in (2, 4, 8):
+        for beta in (1.0, 100.0, 1e4, 1e6):
+            for eps in (0.1, 0.56):
+                for order in (4, 8):
+                    for random_g in (False, True):
+                        inst = random_instance(rng, n, beta=beta, eps=eps, order=order,
+                                               random_g=random_g)
+                        for k in (1, 2, 5, 10):
+                            cfg = SolverConfig(max_iterations=k, outer_tol=1e-15)
+                            prev = solve(inst, cfg)
+                            if prev.converged:
+                                continue
+                            cfg.max_iterations = k + 1
+                            nxt = solve(inst, cfg)
+                            w = worst_case_w(prev.u, prev.t,
+                                             solve_mu(prev.u, prev.t, inst), inst)
+                            np.testing.assert_allclose(nxt.w, w, rtol=0, atol=1e-8 * eps,
+                                                       err_msg=f"{n} {beta} {eps} {k}")
+                            checked += 1
+    assert checked >= 300
 
 
 def test_objective_is_worst_case_of_returned_design():
