@@ -3,7 +3,8 @@
 Configuration files are flat ``key = value`` documents with ``[section]``
 headers (see docs/config_keys.md for the full key list).  Unknown sections or
 keys are rejected with the offending line number.  Exit codes are a stable
-contract: 0 success, 1 configuration error, 2 numeric non-convergence.
+contract: 0 success, 1 configuration or usage error, 2 numeric
+non-convergence.
 """
 
 from __future__ import annotations
@@ -75,10 +76,7 @@ _SCHEMA = {
         "gamma_db": float, "beta": float, "epsilon": float,
         "noise_sigma": float, "seed": int, "symbols": _parse_int_list,
     },
-    "solver": {
-        "max_iterations": int, "outer_tol": float, "mu_tol": float,
-        "bracket_inset": float,
-    },
+    "solver": {"max_iterations": int, "outer_tol": float},
     "validate": {"seed": int, "quick": _parse_bool},
     "output": {"out": str},
 }
@@ -215,8 +213,6 @@ def _effective_sweep_echo(config: SweepConfig) -> list[str]:
         "ee_complement": config.ee_complement, "mi_bins": config.mi_bins,
         "solver.max_iterations": config.solver.max_iterations,
         "solver.outer_tol": config.solver.outer_tol,
-        "solver.mu_tol": config.solver.mu_tol,
-        "solver.bracket_inset": config.solver.bracket_inset,
     }
     return [f"# {key} = {_fmt(value)}" for key, value in sorted(items.items())]
 
@@ -332,10 +328,18 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit code 1), not as
+    argparse's exit 2, which the contract reserves for non-convergence.
+    The subcommand parsers inherit this class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wcslp",
-        description="Worst-case robust symbol-level precoding toolkit")
+    parser = _Parser(prog="wcslp",
+                     description="Worst-case robust symbol-level precoding toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, needs_config in (("solve", cmd_solve, True),
                                    ("sweep", cmd_sweep, True),
@@ -345,21 +349,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to the configuration file")
         p.add_argument("--out", help="output path (overrides [output] out)")
         p.add_argument("--seed", type=int, help="overrides the configured seed")
-        p.add_argument("--parallel", type=int,
-                       help="worker processes for block-level fan-out")
-        p.add_argument("--ee-complement", action="store_true",
-                       help="use (1 - BER) instead of BER in the energy-"
-                            "efficiency ratio")
-        p.add_argument("--schemes",
-                       help=f"comma list overriding the schemes "
-                            f"(known: {', '.join(SCHEMES)})")
         p.set_defaults(fn=fn)
+        if name == "sweep":
+            p.add_argument("--parallel", type=int,
+                           help="worker processes for block-level fan-out")
+            p.add_argument("--ee-complement", action="store_true",
+                           help="use (1 - BER) instead of BER in the energy-"
+                                "efficiency ratio")
+            p.add_argument("--schemes",
+                           help=f"comma list overriding the schemes "
+                                f"(known: {', '.join(SCHEMES)})")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,9 +40,11 @@ DISTORTION_PRESETS = {
     "calibrated": dict(sigma_w_sq=0.02, epsilon=0.56, confidence=0.99),
 }
 
-# margin threshold below which a noise-free received point counts as leaving
-# its CI region (gives boundary-exact nominal margins the benefit of rounding)
-_VIOLATION_TOL = -1e-9
+# a noise-free received point counts as leaving its CI region when a margin
+# of user i in slot j is below -rtol ||H_i|| ||x_j||: rounding in H_i x_j is
+# of that relative size, so boundary-exact nominal margins get its benefit
+# at any scale of the design
+_VIOLATION_RTOL = 1e-9
 
 
 @dataclass
@@ -313,7 +315,9 @@ def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
     # noise-free CI margins A_i (y_i - (D s)_i), one 2x2 product per user
     offset = y_clean - ds[used].reshape(used.size, n_r, 2)
     margins = (const.normals[sent] @ offset[..., None])[..., 0]
-    tally.violations = int(np.sum(margins.min(axis=2) < _VIOLATION_TOL))
+    scale = np.outer(np.linalg.norm(x_clean[used], axis=1),          # ||x_j|| ||H_i||
+                     np.linalg.norm(h.reshape(n_r, -1), axis=1))
+    tally.violations = int(np.sum(margins.min(axis=2) < -_VIOLATION_RTOL * scale))
     tally.margin_pairs = int(used.size * n_r)
     tally.received = np.transpose(received, (1, 0, 2))  # (n_r, used, 2)
     tally.sent = sent

@@ -14,20 +14,20 @@ q = P G u - H^T Phi(t); the multiplier mu is the largest root of
     f(mu) = q^T (P - mu I)^{-2} q - eps^2,
 
 which lies in (lam_bar_max, ||q||/eps + lam_bar_max] where
-lam_bar_max = ||H||^2 + 1/beta.  f is convex and strictly decreasing there,
-so Newton from a warm start, safeguarded by that bracket, finds it in one or
-two steps; bisection on the sign of f is the fallback that makes the search
-exact.
+lam_bar_max = ||H||^2 + 1/beta (More and Sorensen's trust-region secular
+equation).
 
-Inside the loop the w-step needs no root search: the exact u-update leaves
-q = -P w, so after the first step (from q = 0, the top eigenvector of P)
-the multiplier is 2 lam_bar_max and the maximiser is -w (see :func:`_bcd`).
+No run path searches for that root: the exact u-update leaves q = -P w, so
+after the first w-step (from q = 0, the top eigenvector of P) the multiplier
+is 2 lam_bar_max and the maximiser is -w, both in the loop (see :func:`_bcd`)
+and at the design :func:`solve` returns.  ``solve_mu`` keeps one reference
+search, a Brent root finder on the analytic bracket, for the property checks.
 
 One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
 on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
 ``apgd_t_step`` and ``update_u`` evaluate its steps on a single row at any
-(u, t); ``solve_mu`` runs the root search.
+(u, t).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 
 from .constellation import CiGeometry, PskConstellation
 from .realify import RealChannel, RealDistortionMatrix
@@ -45,6 +45,10 @@ from .realify import RealChannel, RealDistortionMatrix
 # relative size of q below which the inner maximisation is treated as the
 # degenerate (pure eigenvector) case
 _DEGENERATE_RTOL = 1e-13
+# relative inset of the root bracket's left end above the pole boundary
+_BRACKET_INSET = 1e-10
+# brentq's tightest relative tolerance
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class SecularPoleError(ValueError):
@@ -52,23 +56,22 @@ class SecularPoleError(ValueError):
 
 
 class RootSearchError(RuntimeError):
-    """Bisection on the secular equation failed to locate the root."""
+    """No sign change of the secular function above the pole boundary."""
 
 
 @dataclass
 class SolverConfig:
-    """Tunables of the outer loop and the root search."""
+    """Tunables of the outer loop: the iteration budget and the relative
+    change of (u, t) below which it stops."""
 
     max_iterations: int = 5000
     outer_tol: float = 1e-8
-    mu_tol: float = 1e-12           # relative tolerance on mu
-    bracket_inset: float = 1e-10    # relative inset above the pole boundary
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if min(self.outer_tol, self.mu_tol, self.bracket_inset) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
 
 
 @dataclass
@@ -102,7 +105,6 @@ class SolveReport:
     limit_cycle: bool = False
     fixed_point_residual_max: float = 0.0
     w_norm_relerr_max: float = 0.0
-    degenerate_w_steps: int = 0
 
 
 def _momentum(constellation: PskConstellation) -> float:
@@ -255,31 +257,20 @@ def _w_parts(instance: ProblemInstance, gu, ht_phi):
     return qt, qt2, qt2.sum(axis=1) <= _DEGENERATE_RTOL ** 2 * scale2
 
 
-def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
-                     config: SolverConfig, mu_hint: float | None = None) -> float:
+def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float) -> float:
     """Largest secular root from precomputed eigen-parts.
 
-    f is convex and strictly decreasing right of the poles, so Newton
-    started left of the root climbs monotonically to it, and from the right
-    its first step lands left of the root.  A warm start ``mu_hint`` inside
-    the analytic bracket (lam (1 + inset), ||q||/eps + lam] starts Newton at
-    once: :func:`solve` passes the loop's last multiplier, the root at the
-    design it returns.  It may exceed hi by rounding, since hi is the root
-    when q lies on the top eigenvector, as in the two-cycle; it still serves
-    within the mu tolerance.
-    Without one, or when a Newton step leaves the bracket (the root may lie
-    left of the inset point), the bracket is verified by the sign of f,
-    narrowed around the hint and bisected, and Newton finishes from there
-    with bisection as its safeguard.
+    f is strictly decreasing right of the poles and its largest root lies in
+    (lam, ||q||/eps + lam].  The search brackets it between
+    lo = lam (1 + inset) and that bound; when f(lo) <= 0 the root is squeezed
+    between the pole boundary and lo, and log-spaced gaps toward the pole
+    locate a point where f is positive.  One Brent search (``brentq``) at
+    its tightest relative tolerance finishes.
     """
     eps2 = eps * eps
     qn = math.sqrt(float(qt2.sum()))
-    lo = lam * (1.0 + config.bracket_inset)
+    lo = lam * (1.0 + _BRACKET_INSET)
     hi = qn / eps + lam
-    if mu_hint is not None and lo < mu_hint <= hi + config.mu_tol * max(1.0, hi):
-        mu = _newton(qt2, poles, eps2, mu_hint, lo, hi, config, verified=False)
-        if mu is not None:
-            return mu
 
     def f(mu):
         diff = poles - mu
@@ -305,78 +296,11 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float,
             raise RootSearchError(
                 "no sign change above the pole boundary: "
                 f"lam_bar_max={lam!r}, f at inset={f_lo!r}, ||q||={qn!r}, eps={eps!r}")
-    else:
-        f_hi = f(hi)
-        guard = 0
-        while f_hi > 0.0 and guard < 60:  # cannot happen per the bracket bound
-            hi = lam + 2.0 * (hi - lam)
-            f_hi = f(hi)
-            guard += 1
-        if f_hi > 0.0:
-            raise RootSearchError(
-                f"secular function positive beyond the bracket: lam_bar_max={lam!r}")
-        if mu_hint is not None and lo < mu_hint:
-            # probe a small window around the warm start to collapse most of
-            # the bracket
-            mu_hint = min(mu_hint, hi)
-            if f(mu_hint) > 0.0:
-                lo = mu_hint
-                near = mu_hint * (1.0 + 1e-4)
-                if lo < near < hi and f(near) <= 0.0:
-                    hi = near
-            else:
-                hi = mu_hint
-                near = mu_hint * (1.0 - 1e-4)
-                if lo < near < hi and f(near) > 0.0:
-                    lo = near
-
-    steps = 0
-    width_target = config.mu_tol * max(1.0, hi)
-    while hi - lo > max(width_target, 1e-3 * max(1.0, hi)) and steps < 300:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    if steps >= 300:
-        raise RootSearchError(
-            f"bisection failed to converge: bracket=({lo!r}, {hi!r})")
-
-    start = mu_hint if mu_hint is not None and lo <= mu_hint <= hi else lo
-    return _newton(qt2, poles, eps2, start, lo, hi, config, verified=True)
-
-
-def _newton(qt2, poles, eps2, mu, lo, hi, config: SolverConfig, verified: bool):
-    """Bracket-safeguarded Newton from mu to the mu tolerance.
-
-    A step that leaves (lo, hi) bisects the bracket if f changes sign on it
-    (``verified``) and returns None otherwise.
-    """
-    for _ in range(60):
-        diff = poles - mu
-        r = qt2 / (diff * diff)
-        f_mu = float(r.sum()) - eps2
-        if f_mu > 0.0:
-            lo = max(lo, mu)
-        else:
-            hi = min(hi, mu)
-        slope = 2.0 * float((r / diff).sum())
-        nxt = mu - f_mu / slope if slope != 0.0 else mu
-        if abs(nxt - mu) <= config.mu_tol * max(1.0, abs(mu)):
-            # converged; at the rounding floor mu is itself a bracket end
-            if lo <= nxt <= hi:
-                mu = nxt
-            break
-        if lo < nxt < hi:
-            mu = nxt
-        elif verified:
-            mu = 0.5 * (lo + hi)
-        else:
-            return None
-    return float(mu)
+    elif f(hi) >= 0.0:
+        # the bound is attained (q on the top eigenvector), up to rounding
+        return hi
+    # xtol is absolute; scaled by lam < mu it is relative too
+    return brentq(f, lo, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
 
 
 def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
@@ -438,23 +362,20 @@ def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
     return instance.lam_bar_max, qn / instance.epsilon + instance.lam_bar_max
 
 
-def solve_mu(u, t, instance: ProblemInstance, config: SolverConfig | None = None,
-             mu_hint: float | None = None) -> float:
+def solve_mu(u, t, instance: ProblemInstance) -> float:
     """Largest root of the secular equation at (u, t).
 
-    Newton from the warm start ``mu_hint`` when it lies in the bracket,
-    otherwise bisection on the sign of f and a Newton finish, both to the
-    configured tolerance (see :func:`_root_from_parts`).  Returns lam_bar_max
-    for the degenerate q = 0 case (the caller then builds w from the top
-    eigenvector of P).
+    The reference root search of the property checks (see
+    :func:`_root_from_parts`); neither :func:`solve` nor the loop runs it.
+    Returns lam_bar_max for the degenerate q = 0 case (the caller then
+    builds w from the top eigenvector of P).
     """
     if instance.epsilon <= 0:
         raise ValueError("solve_mu requires epsilon > 0")
     _, _, _, qt2, degen = _one_row_parts(u, t, instance)
     if degen[0]:
         return instance.lam_bar_max
-    return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max,
-                            config or SolverConfig(), mu_hint)
+    return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max)
 
 
 def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
@@ -496,9 +417,7 @@ class BatchSolveResult:
 
     ``mu`` is the multiplier of the last w-step: lam_bar_max after the first
     (q = 0), 2 lam_bar_max after any later one, NaN at eps = 0.
-    ``w_norm_relerr_max`` is the largest | ||w|| / eps - 1 | over the w-steps,
-    ``degenerate_w_steps`` the number of w-steps that found q = 0: the first,
-    from the start, when eps > 0.
+    ``w_norm_relerr_max`` is the largest | ||w|| / eps - 1 | over the w-steps.
     """
 
     u: np.ndarray
@@ -510,7 +429,6 @@ class BatchSolveResult:
     limit_cycle: np.ndarray
     fixed_point_residual_max: np.ndarray
     w_norm_relerr_max: np.ndarray
-    degenerate_w_steps: np.ndarray
 
 
 def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
@@ -547,8 +465,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                            converged=np.zeros(count, dtype=bool),
                            limit_cycle=np.zeros(count, dtype=bool),
                            fixed_point_residual_max=np.zeros(count),
-                           w_norm_relerr_max=np.zeros(count),
-                           degenerate_w_steps=np.full(count, int(eps > 0)))
+                           w_norm_relerr_max=np.zeros(count))
     # the last two iterates of u and t; both start at the initial point, which
     # makes the two-iteration window equal the one-iteration one at k = 1
     u_hist, t_hist = np.array((u, u)), np.array((t, t))
@@ -613,28 +530,26 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     is needed because the exact u-update makes the inner maximiser settle
     into a sign-flipping two-cycle on the top eigenvector of P, which bounds
     single-step changes away from zero (reported via ``limit_cycle``).
-    Non-convergence is reported, not raised.  ``objective`` is the worst-case
-    value of the returned (u, t), from one more w-step; ``mu`` is None at
-    eps = 0.
+    Non-convergence is reported, not raised.  ``mu`` is the loop's last
+    multiplier, None at eps = 0.
+
+    ``objective`` is the worst-case value of the returned (u, t), in closed
+    form: the last u-step left q = -P w, so (as in the loop's w-step) the
+    inner maximiser at (u, t) is -w, at mu = 2 lam_bar_max; at eps = 0, w = 0.
     """
     config = config or SolverConfig()
     trace = []
     res = _bcd(instance, instance.slots, config, trace)
-    u, t = res.u[0], res.t[0]
-    w_worst = np.zeros_like(u)
-    if instance.epsilon > 0:
-        mu = solve_mu(u, t, instance, config, float(res.mu[0]))
-        w_worst = worst_case_w(u, t, mu, instance)
-    return SolveReport(u=u, t=t, w=res.w[0],
+    u, t, w = res.u[0], res.t[0], res.w[0]
+    return SolveReport(u=u, t=t, w=w,
                        mu=None if instance.epsilon == 0 else float(res.mu[0]),
-                       objective=relaxed_objective(u, t, w_worst, instance),
+                       objective=relaxed_objective(u, t, -w, instance),
                        iterations=int(res.iterations[0]),
                        trace=np.concatenate(trace),
                        converged=bool(res.converged[0]),
                        limit_cycle=bool(res.limit_cycle[0]),
                        fixed_point_residual_max=float(res.fixed_point_residual_max[0]),
-                       w_norm_relerr_max=float(res.w_norm_relerr_max[0]),
-                       degenerate_w_steps=int(res.degenerate_w_steps[0]))
+                       w_norm_relerr_max=float(res.w_norm_relerr_max[0]))
 
 
 def solve_batch(proto: ProblemInstance, geometries,

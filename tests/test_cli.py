@@ -114,6 +114,31 @@ def test_unknown_key_is_line_anchored(tmp_path, capsys):
     assert "typo.ini:4" in err and "bata" in err
 
 
+@pytest.mark.parametrize("key", ["mu_tol", "bracket_inset"])
+def test_removed_solver_keys_are_unknown(sweep_config, capsys, key):
+    sweep_config.write_text(SWEEP_INI + f"{key} = 1e-10\n")
+    assert main(["sweep", "--config", str(sweep_config)]) == 1
+    err = capsys.readouterr().err
+    assert f"sweep.ini:{len(SWEEP_INI.splitlines()) + 1}" in err and key in err
+
+
+def test_solve_rejects_sweep_only_flags(solve_config, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for flag in (["--parallel", "7"], ["--schemes", "nominal-slp"], ["--ee-complement"]):
+        assert main(["solve", "--config", str(solve_config), "--out", str(out)] + flag) == 1
+        assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_usage_errors_are_config_errors(sweep_config, capsys):
+    # exit 2 is reserved for numeric non-convergence
+    assert main(["sweep"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(sweep_config), "--bogus"]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert main([]) == 1
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     path = tmp_path / "sec.ini"
     path.write_text("[sweeep]\nn_t = 4\n")
@@ -141,6 +166,7 @@ mi_bins = 8
     # sweep-specific practical solver defaults, not the library defaults
     assert "# solver.outer_tol = 0.001" in text
     assert "# solver.max_iterations = 4000" in text
+    assert sum(l.startswith("# solver.") for l in text.splitlines()) == 2
 
 
 def test_seed_flag_overrides_config(sweep_config, tmp_path):

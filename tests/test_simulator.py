@@ -8,13 +8,14 @@ import pytest
 
 import wcslp.realify as realify_module
 import wcslp.simulator as simulator_module
-from wcslp.constellation import PskConstellation
+from wcslp.constellation import PskConstellation, build_ci_geometry
 from wcslp.realify import RealDistortionMatrix, build_real_channel
 from wcslp.simulator import (DISTORTION_PRESETS, DistortionSpec, SweepConfig,
                              calibrate_epsilon, energy_efficiency,
                              estimate_ber, estimate_mi, run_sweep,
                              sample_channel, sample_distortion,
                              transmit_receive)
+from wcslp.solver import SolverConfig
 
 QPSK = PskConstellation(4)
 
@@ -219,6 +220,41 @@ def test_run_sweep_zero_noise_nominal_ber_zero():
     for rec in run_sweep(cfg):
         assert rec.ber == 0.0
         assert rec.ci_violation_rate == 0.0
+
+
+def test_rounding_is_not_a_ci_violation():
+    # block 2 has cond(H) = 3337 and a nominal design with ||x||^2 = 3.4e8,
+    # whose margins round to about -1e-8: far below an absolute -1e-9, yet
+    # only -2.5e-13 of ||H_i|| ||x||
+    cfg = SweepConfig(n_t=4, n_r=4, gamma_db_grid=(0, 4, 8, 12, 16, 20),
+                      beta_grid=(1, 100, 1e4), blocks=4, symbols_per_block=5,
+                      schemes=("nominal-slp", "nominal-under-distortion"),
+                      distortion=DistortionSpec(0.02, 0.56), seed=1369000605,
+                      solver=SolverConfig(max_iterations=4000, outer_tol=1e-3))
+    rates = [r.ci_violation_rate for r in run_sweep(cfg) if r.scheme == "nominal-slp"]
+    assert len(rates) == 18 and all(rate == 0.0 for rate in rates)
+
+
+@pytest.mark.parametrize("gamma", [10.0, 1e12])
+def test_ci_violation_threshold_scales_with_the_design(gamma):
+    rng = np.random.default_rng(8)
+    h = sample_channel(4, 4, rng).real.matrix
+    symbols = rng.integers(0, 4, (1, 4))
+    geom = build_ci_geometry(symbols[0], gamma, 1.0, QPSK)
+    pinv = np.linalg.pinv(h)
+
+    def violations(miss):
+        # a design whose margins are 1, except user 0's first one: -miss of
+        # ||H_0|| ||x|| (x changes little with it)
+        margins = np.ones(8)
+        x = pinv @ (geom.ds + geom.a_inv @ margins)
+        margins[0] = -miss * np.linalg.norm(h[:2]) * np.linalg.norm(x)
+        x = pinv @ (geom.ds + geom.a_inv @ margins)
+        return simulator_module._tally(h, symbols, np.zeros((1, 4, 2)), geom.ds[None], QPSK,
+                                       x[None], np.ones(1), np.ones(1, dtype=bool)).violations
+
+    assert violations(1e-6) == 1
+    assert violations(1e-12) == 0   # below -1e-9 in absolute terms at the large gamma
 
 
 def test_run_sweep_rejects_overloaded_system():
