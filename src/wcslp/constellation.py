@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .realify import embed_vector
-
 
 class UnsupportedConstellationError(ValueError):
     """Raised for constellations the CI construction cannot support (e.g. BPSK)."""
@@ -26,16 +24,18 @@ class UnsupportedConstellationError(ValueError):
 class PskConstellation:
     """Equiprobable unit-power M-PSK alphabet and its table of CI normals.
 
-    Point m sits at angle ``phase_offset + 2*pi*m/order``; ``normals[m]`` is
-    :func:`ci_normals` of symbol m.  Two constellations are equal when their
-    order and phase offset are.  The default offset pi/order gives the
-    diagonal QPSK layout for order 4.  Orders below 4 are rejected: with two
+    Point m sits at angle ``phase_offset + 2*pi*m/order``; ``points_real[m]``
+    is it as a real (Re, Im) pair and ``normals[m]`` is :func:`ci_normals` of
+    symbol m.  Two constellations are equal when their order and phase
+    offset are.  The default offset pi/order gives the diagonal QPSK layout
+    for order 4.  Orders below 4 are rejected: with two
     points the two sector normals are antiparallel and A is singular.
     """
 
     order: int
     phase_offset: float | None = None
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    points_real: np.ndarray = field(init=False, repr=False, compare=False)  # (M, 2)
     normals: np.ndarray = field(init=False, repr=False, compare=False)      # (M, 2, 2)
     normals_inv: np.ndarray = field(init=False, repr=False, compare=False)  # inverses
     sigma_min: float = field(init=False, repr=False, compare=False)
@@ -50,6 +50,7 @@ class PskConstellation:
             self.phase_offset = math.pi / self.order
         angles = self.phase_offset + 2.0 * np.pi * np.arange(self.order) / self.order
         self.points = np.exp(1j * angles)
+        self.points_real = np.stack([self.points.real, self.points.imag], axis=1)
         self.normals = np.stack([ci_normals(m, self) for m in range(self.order)])
         self.normals_inv = np.linalg.inv(self.normals)
         # All normals are rotations of symbol 0's, whose rows are pi - 2 pi/M
@@ -65,7 +66,7 @@ class PskConstellation:
     def point(self, m: int) -> np.ndarray:
         """Symbol m as a real (Re, Im) pair."""
         self._check_index(m)
-        return embed_vector(self.points[m:m + 1])
+        return self.points_real[m].copy()
 
     @property
     def bits_per_symbol(self) -> int:
@@ -122,8 +123,8 @@ class CiGeometry:
     ds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        scale = np.repeat(self.sigmas * np.sqrt(self.gammas), 2)
-        self.ds = scale * embed_vector(self.constellation.points[self.symbols])
+        scale = self.sigmas * np.sqrt(self.gammas)
+        self.ds = (scale[:, None] * self.constellation.points_real[self.symbols]).ravel()
 
     @property
     def n_r(self) -> int:
@@ -163,16 +164,24 @@ def build_ci_geometry(symbols, gammas, sigmas,
     """Geometry for given symbol indices and per-user SNR targets and noise."""
     symbols = np.atleast_1d(np.asarray(symbols, dtype=int))
     n_r = symbols.size
-    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n_r,)).copy()
-    if not np.all((gammas > 0) & np.isfinite(gammas)):
+    gammas, sigmas = _per_user(gammas, n_r), _per_user(sigmas, n_r)
+    # element loops: on a few users they cost less than the ufunc calls
+    if not all(0.0 < g < math.inf for g in gammas.tolist()):
         raise ValueError("target SNRs must be positive and finite")
-    if not np.all((sigmas > 0) & np.isfinite(sigmas)):
+    if not all(0.0 < s < math.inf for s in sigmas.tolist()):
         raise ValueError("noise deviations must be positive and finite")
-    if np.any((symbols < 0) | (symbols >= constellation.order)):
+    if not all(0 <= m < constellation.order for m in symbols.tolist()):
         raise ValueError(f"symbol indices must lie in [0, {constellation.order})")
     return CiGeometry(symbols=symbols, gammas=gammas, sigmas=sigmas,
                       constellation=constellation)
+
+
+def _per_user(values, n_r: int) -> np.ndarray:
+    """A scalar or an array broadcast to one float per user, as a new array."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        return np.full(n_r, values)
+    return np.broadcast_to(values, (n_r,)).copy()
 
 
 def ml_detect(y, constellation: PskConstellation) -> int:

@@ -19,7 +19,7 @@ import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -213,10 +213,11 @@ def estimate_mi(received, sent, order: int, bins: int = 64) -> float:
         lo = center - half
         scaled = (vals - lo) * (bins / (2.0 * half))
         idx2[axis] = np.clip(scaled.astype(int), 0, bins - 1)
+    if np.any((sent < 0) | (sent >= order)):
+        raise ValueError(f"sent indices must lie in [0, {order})")
     cell = idx2[0] * bins + idx2[1]
-    joint = np.zeros((order, bins * bins))
-    np.add.at(joint, (sent, cell), 1.0)
-    joint /= n
+    joint = np.bincount(sent * (bins * bins) + cell, minlength=order * bins * bins)
+    joint = joint.reshape(order, bins * bins) / n
     p_s = joint.sum(axis=1)
     p_c = joint.sum(axis=0)
     mask = joint > 0
@@ -363,6 +364,8 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     ``parallel > 1`` blocks are fanned out to a process pool (workers beyond
     ``blocks`` sit idle) and reduced in block order, so the records are
     identical for any worker count; each worker runs BLAS on one thread.
+    Each distinct tally is reduced once: a nominal scheme's, shared by every
+    beta, once per (gamma, scheme).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
@@ -373,10 +376,19 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
             per_block = list(pool.map(run, range(config.blocks)))
     else:
         per_block = [run(b) for b in range(config.blocks)]
-    cells = [(gamma_db, beta, scheme) for gamma_db in config.gamma_db_grid
+    cells = [(g, gamma_db, beta, scheme) for g, gamma_db in enumerate(config.gamma_db_grid)
              for beta in config.beta_grid for scheme in config.schemes]
-    return [_reduce_cell(config, *cell, [tallies[i] for tallies in per_block])
-            for i, cell in enumerate(cells)]
+    records, nominal = [], {}     # nominal: the record of each (gamma, scheme)
+    for i, (g, gamma_db, beta, scheme) in enumerate(cells):
+        if (g, scheme) in nominal:
+            record = replace(nominal[g, scheme], beta=beta)
+        else:
+            record = _reduce_cell(config, gamma_db, beta, scheme,
+                                  [tallies[i] for tallies in per_block])
+            if scheme != "wc-slp":
+                nominal[g, scheme] = record
+        records.append(record)
+    return records
 
 
 def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float, scheme: str,

@@ -27,7 +27,12 @@ One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
 on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
 ``apgd_t_step`` and ``update_u`` evaluate its steps on a single row at any
-(u, t).
+(u, t).  The loop reads everything it needs of Phi(t) from one product with
+the operators :class:`ProblemInstance` builds once per instance, and its slack
+step takes the residual H (G u + w) - D s in closed form from that product
+(see :func:`_bcd`).  The CI matrices are block diagonal with 2x2 blocks; each
+block acts on its interleaved pair z = v_0 + i v_1 as alpha z + beta conj(z)
+with two complex coefficients (:func:`_bmul`).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
+from scipy.linalg import LinAlgError, get_lapack_funcs, lu_factor, lu_solve
 from scipy.optimize import brentq, nnls
 
 from .constellation import CiGeometry, PskConstellation
@@ -49,6 +54,8 @@ _DEGENERATE_RTOL = 1e-13
 _BRACKET_INSET = 1e-10
 # brentq's tightest relative tolerance
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
+# LAPACK's triangular solve (double precision), called without the wrapper
+_trtrs, = get_lapack_funcs(("trtrs",))
 
 
 class SecularPoleError(ValueError):
@@ -114,20 +121,24 @@ def _momentum(constellation: PskConstellation) -> float:
     return (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
-def _columns(table: np.ndarray) -> np.ndarray:
-    """The columns of (..., 2, 2) blocks as one leading axis: out[c] = table[..., :, c]."""
-    return np.moveaxis(table, -1, 0)
+def _coefficients(blocks: np.ndarray) -> np.ndarray:
+    """Complex coefficients (alpha, beta), stacked on a leading axis, of
+    (..., 2, 2) real blocks: [[a, b], [c, d]] times (v_0, v_1) is, on
+    z = v_0 + i v_1, alpha z + beta conj(z) with
+    alpha = ((a + d) + i (c - b)) / 2 and beta = ((a - d) + i (c + b)) / 2."""
+    a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+    c, d = blocks[..., 1, 0], blocks[..., 1, 1]
+    return np.stack([(a + d) + 1j * (c - b), (a - d) + 1j * (c + b)]) / 2.0
 
 
-def _bmv(cols: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix times vector, row by row, from the block columns.
-
-    Two products and a sum per column pair: a stacked ``matmul`` of 2x2
-    blocks makes one small BLAS call per block, several times slower on a
-    batch of slots.
-    """
-    v = vec.reshape(cols.shape[1:])
-    return (cols[0] * v[..., :1] + cols[1] * v[..., 1:]).reshape(vec.shape)
+def _bmul(coef: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix times vector, row by row, from the blocks'
+    coefficients (:func:`_coefficients`); ``vec`` is C-contiguous, and its
+    interleaved pairs are read as complex numbers in place."""
+    z = vec.view(complex)
+    out = coef[0] * z
+    out += coef[1] * z.conj()
+    return out.view(float)
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -144,21 +155,20 @@ class _Slots:
     """CI constants of a stack of symbol slots, one row per slot.
 
     The matrices are block diagonal with 2x2 blocks (one per user), so only
-    the blocks are kept, each a row of a table of the slots' constellation,
-    and as :func:`_columns` (shape (2, S, n_r, 2)) for :func:`_bmv`;
-    sigma_min and the momentum are constants of that constellation.
+    the blocks' coefficients are kept (:func:`_coefficients`, shape
+    (2, S, n_r)), each indexed from a table of the slots' constellation;
+    the momentum is a constant of that constellation.
     """
 
     ds: np.ndarray              # (S, 2 n_r)  D s
-    a_inv: np.ndarray           # columns of A^{-1}
-    a_inv_t: np.ndarray         # A^{-T}
+    a_inv: np.ndarray           # A^{-1}
+    step: np.ndarray            # sigma_min^2 A^{-T}
     b: np.ndarray               # I - sigma_min^2 A^{-T} A^{-1}
-    sigma_min_sq: float
     momentum: float
 
     def take(self, rows) -> "_Slots":
-        return _Slots(self.ds[rows], self.a_inv[:, rows], self.a_inv_t[:, rows],
-                      self.b[:, rows], self.sigma_min_sq, self.momentum)
+        return _Slots(self.ds[rows], self.a_inv[:, rows], self.step[:, rows],
+                      self.b[:, rows], self.momentum)
 
 
 def _slots(geometries) -> _Slots:
@@ -170,18 +180,25 @@ def _slots(geometries) -> _Slots:
     sigma_min_sq = const.sigma_min ** 2
     b = np.eye(2) - sigma_min_sq * (a_inv_t @ const.normals_inv)
     return _Slots(ds=np.stack([gm.ds for gm in geometries]),
-                  a_inv=_columns(const.normals_inv)[:, symbols],
-                  a_inv_t=_columns(a_inv_t)[:, symbols], b=_columns(b)[:, symbols],
-                  sigma_min_sq=sigma_min_sq, momentum=_momentum(const))
+                  a_inv=_coefficients(const.normals_inv)[:, symbols],
+                  step=_coefficients(sigma_min_sq * a_inv_t)[:, symbols],
+                  b=_coefficients(b)[:, symbols], momentum=_momentum(const))
 
 
 @dataclass(repr=False)
 class ProblemInstance:
     """One symbol slot's worst-case design problem.
 
-    Construction validates shapes and invertibility and caches the
-    eigendecomposition of H^T H; all later root searches and resolvent solves
-    reuse it.  Treat instances as immutable and share them freely.
+    Construction validates shapes and invertibility and caches, per channel,
+    distortion matrix and beta:
+    - the eigendecomposition of H^T H (``evals``, ``evecs``) and the poles
+      of the secular function, which the reference root search reuses;
+    - the LU factors of G;
+    - ``phi_ops`` = [Y^T | (G^{-1} Y)^T | K^T], with Y = P^{-1} H^T and
+      K = H P^{-1} H^T = H Y, so that one product Phi @ phi_ops of stacked
+      rows Phi(t) gives y = Y Phi(t), G^{-1} y and K Phi(t) at once;
+    - the slack-step constants of its own slot (``slots``).
+    Treat instances as immutable and share them freely.
     """
 
     channel: RealChannel
@@ -207,16 +224,22 @@ class ProblemInstance:
         if svals[-1] <= svals[0] * 1e-12:
             raise ValueError("distortion matrix must be invertible")
         self._g_lu = lu_factor(self.g)
-        self._getrs = get_lapack_funcs(("getrs",), self._g_lu)[0]
         self.hth = self.h.T @ self.h
         self.evals, self.evecs = np.linalg.eigh(self.hth)
         self.poles = self.evals + 1.0 / self.beta
         self.lam_bar_max = float(self.evals[-1] + 1.0 / self.beta)
+        y_op = (self.evecs / self.poles) @ (self.evecs.T @ self.h.T)
+        self.phi_ops = np.hstack([y_op.T, lu_solve(self._g_lu, y_op).T,
+                                  (self.h @ y_op).T])
         self.ds = self.geometry.ds
         self.slots = _slots([self.geometry])
 
     def apply_p_inv(self, x: np.ndarray) -> np.ndarray:
         return self.evecs @ ((self.evecs.T @ x) / self.poles)
+
+    def solve_g(self, x: np.ndarray) -> np.ndarray:
+        """G^{-1} x for each row x of ``x``."""
+        return lu_solve(self._g_lu, x.T).T
 
 
 def phi(t, geometry: CiGeometry) -> np.ndarray:
@@ -242,8 +265,8 @@ def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
 
 def _row(u, t, instance: ProblemInstance):
     """(G u, Phi(t), Phi(t)^T H) of one design, as one-row arrays of the loop."""
-    t = np.asarray(t, dtype=float)[None]
-    phi_t = instance.slots.ds + _bmv(instance.slots.a_inv, t)
+    t = np.ascontiguousarray(t, dtype=float)[None]
+    phi_t = instance.slots.ds + _bmul(instance.slots.a_inv, t)
     return np.asarray(u, dtype=float)[None] @ instance.g.T, phi_t, phi_t @ instance.h
 
 
@@ -315,19 +338,27 @@ def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
     return np.where(obj[1] > obj[0] * (1.0 + 1e-12), -1.0, 1.0)[:, None] * cand
 
 
-def _t_step(instance, slots: _Slots, x, t, z):
-    """Accelerated projected-gradient step on the slack, given x = G u + w."""
-    r = x @ instance.h.T - slots.ds
-    t_new = np.maximum(_bmv(slots.b, z) + slots.sigma_min_sq * _bmv(slots.a_inv_t, r), 0.0)
+def _t_step(slots: _Slots, r, t, z):
+    """Accelerated projected-gradient step on the slack, given the residual
+    r = H (G u + w) - D s."""
+    step = _bmul(slots.step, r)
+    if slots.momentum == 0.0:
+        # QPSK: sigma_min = sigma_max, so B = 0 (its table holds rounding
+        # only) and there is no momentum
+        t_new = np.maximum(step, 0.0)
+        return t_new, t_new
+    t_new = np.maximum(_bmul(slots.b, z) + step, 0.0)
     return t_new, t_new + slots.momentum * (t_new - t)
 
 
-def _u_step(instance, slots: _Slots, t, w):
-    """Closed-form u; also returns y = P^{-1} H^T Phi(t) and Phi(t)."""
-    phi_t = slots.ds + _bmv(slots.a_inv, t)
-    y = (((phi_t @ instance.h) @ instance.evecs) / instance.poles) @ instance.evecs.T
-    u, _ = instance._getrs(*instance._g_lu, (y - w).T, overwrite_b=True)
-    return u.T, y, phi_t
+def _u_step(instance, slots: _Slots, t, g_inv_w):
+    """Closed-form u = G^{-1} y - G^{-1} w, y = P^{-1} H^T Phi(t), given
+    G^{-1} w; also returns y, Phi(t) and K Phi(t) = H y."""
+    phi_t = _bmul(slots.a_inv, t)
+    phi_t += slots.ds
+    prod = phi_t @ instance.phi_ops
+    n = len(instance.g)
+    return prod[:, n:2 * n] - g_inv_w, prod[:, :n], phi_t, prod[:, 2 * n:]
 
 
 # -- single-design views of the steps ---------------------------------------
@@ -399,15 +430,17 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
     the momentum extrapolation.
     """
     x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
-    t_new, z_new = _t_step(instance, instance.slots, x, np.asarray(state.t)[None],
-                           np.asarray(state.z, dtype=float)[None])
+    t_new, z_new = _t_step(instance.slots, x @ instance.h.T - instance.slots.ds,
+                           np.asarray(state.t)[None],
+                           np.ascontiguousarray(state.z, dtype=float)[None])
     return t_new[0], z_new[0]
 
 
 def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
     """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
-    u = _u_step(instance, instance.slots, np.asarray(t, dtype=float)[None],
-                np.asarray(w, dtype=float)[None])[0]
+    g_inv_w = instance.solve_g(np.asarray(w, dtype=float)[None])
+    u = _u_step(instance, instance.slots, np.ascontiguousarray(t, dtype=float)[None],
+                g_inv_w)[0]
     return u[0]
 
 
@@ -451,14 +484,31 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     root is mu = lam_bar_max + ||q|| / eps = 2 lam_bar_max, and the
     maximiser q / (mu - lam_bar_max) is -w_k.  So w_k = (-1)^(k-1) w_1: the
     sign-flipping two-cycle that :func:`solve` reports as ``limit_cycle``.
+
+    The u-step is one product with the instance's operators:
+    u_k = G^{-1} y_k - G^{-1} w_k with y_k = P^{-1} H^T Phi(t_k), where
+    G^{-1} w_1 is solved once per row and then only flips sign.
+
+    The t-step's residual is in closed form too.  Step k needs
+    H (G u_{k-1} + w_k) - D s, and the u-step left G u_{k-1} + w_{k-1} =
+    y_{k-1}, so it equals K Phi(t_{k-1}) - D s + H (w_k - w_{k-1}) with
+    K = H P^{-1} H^T: K Phi(t_0) - D s + H w_1 at k = 1 (w_0 = 0), and
+    K Phi(t_{k-1}) - D s + 2 H w_k from k = 2 on (w_{k-1} = -w_k).  H w_1 is
+    computed once per row; at eps = 0 the residual is K Phi - D s.  The
+    fixed-point residual G u + w - y, the stopping test and the trace are
+    still evaluated every iteration.
     """
     count = len(slots.ds)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
     g_t, h_t = instance.g.T, instance.h.T
     t = np.zeros((count, slots.ds.shape[1]))
     z = t
-    w = np.zeros((count, g_t.shape[0]))
-    u, y, phi_t = _u_step(instance, slots, t, w)
+    # w_k, G^{-1} w_k and the residual's -D s + 2 H w_k at odd and even k, on
+    # a leading axis indexed by flip: w_k = +-w_1 alternates with k
+    w_pm = g_inv_w_pm = np.zeros((2, count, g_t.shape[0]))
+    shift_pm = np.array((-slots.ds, -slots.ds))
+    w = w_pm[0]
+    u, y, phi_t, k_phi = _u_step(instance, slots, t, w)
     gu = u @ g_t
     out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(), mu=np.full(count, np.nan),
                            iterations=np.full(count, config.max_iterations),
@@ -484,15 +534,22 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
             out.limit_cycle[idx] = ~still[0, sel]
 
     for k in range(1, config.max_iterations + 1):
-        if eps > 0:
-            if k == 1:
-                w, mu = _degenerate_w(gu, phi_t, instance), instance.lam_bar_max
-                # every later w has the same norm
-                out.w_norm_relerr_max[:] = np.abs(_norms(w) / eps - 1.0)
-            else:
-                w, mu = -w, 2.0 * instance.lam_bar_max
-        t, z = _t_step(instance, slots, gu + w, t_hist[0], z)
-        u, y, phi_t = _u_step(instance, slots, t, w)
+        flip = (k + 1) % 2           # w_k = -w_1 at even k
+        if eps > 0 and k == 1:
+            w1, mu = _degenerate_w(gu, phi_t, instance), instance.lam_bar_max
+            # every later w has the same norm
+            out.w_norm_relerr_max[:] = np.abs(_norms(w1) / eps - 1.0)
+            g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
+            w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
+            shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))
+            r = k_phi + (h_w1 - slots.ds)     # w_0 = 0
+        else:
+            if eps > 0:
+                mu = 2.0 * instance.lam_bar_max
+            r = k_phi + shift_pm[flip]
+        w = w_pm[flip]
+        t, z = _t_step(slots, r, t_hist[0], z)
+        u, y, phi_t, k_phi = _u_step(instance, slots, t, g_inv_w_pm[flip])
         gu = u @ g_t
         x = gu + w
         fp2_max = np.maximum(fp2_max, _sq(x - y) / _sq(phi_t))   # Phi(t) != 0
@@ -515,7 +572,8 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
             keep = ~done
             rows, slots = rows[keep], slots.take(keep)
             u_hist, t_hist = u_hist[:, keep], t_hist[:, keep]
-            z, w, gu, fp2_max = z[keep], w[keep], gu[keep], fp2_max[keep]
+            w_pm, g_inv_w_pm = w_pm[:, keep], g_inv_w_pm[:, keep]
+            z, shift_pm, k_phi, fp2_max = z[keep], shift_pm[:, keep], k_phi[keep], fp2_max[keep]
     finish(np.ones(len(rows), dtype=bool), config.max_iterations)
     return out
 
@@ -579,13 +637,28 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
     chol = channel.gram_cholesky
     ds = geometry.ds
     # ||H^+ Phi(t)||^2 = ||L^{-1} Phi(t)||^2 with H H^T = L L^T
-    design = solve_triangular(chol, geometry.a_inv, lower=True)
-    target = -solve_triangular(chol, ds, lower=True)
+    design = _solve_chol(chol, geometry.a_inv)
+    target = -_solve_chol(chol, ds)
     t, _ = nnls(design, target)
     phi_t = ds + geometry.a_inv @ t
-    x = h.T @ solve_triangular(chol.T, solve_triangular(chol, phi_t, lower=True),
-                               lower=False)
+    x = h.T @ _solve_chol(chol, _solve_chol(chol, phi_t), trans=1)
     return x, t
+
+
+def _solve_chol(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^{-1} b, or L^{-T} b with ``trans=1``, for a lower triangular L.
+
+    LAPACK's ``trtrs`` is called directly: ``solve_triangular`` makes the
+    same call (the same bits), but its checks and copies cost several times
+    the solve.  Its finiteness check is not needed here: L comes from
+    scipy's checked ``cholesky`` (``RealChannel.gram_cholesky``), and
+    ``build_ci_geometry`` rejects non-finite SNR targets and noise
+    deviations, so D s and A^{-1} are finite.
+    """
+    x, info = _trtrs(chol, b, lower=1, trans=trans)
+    if info != 0:
+        raise LinAlgError(f"trtrs failed with info={info}")
+    return x
 
 
 def count_secular_roots(u, t, instance: ProblemInstance) -> int:

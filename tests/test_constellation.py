@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from wcslp.constellation import (PskConstellation, UnsupportedConstellationError,
                                  build_ci_geometry, ci_margin, ci_normals,
                                  ml_detect, ml_detect_many)
+from wcslp.realify import embed_vector
 
 QPSK = PskConstellation(4)
 COS675 = math.cos(math.radians(67.5))
@@ -101,10 +102,29 @@ def test_geometry_scaling_matrix():
     np.testing.assert_allclose(geom2.ds, np.concatenate([QPSK.point(0), 3 * QPSK.point(1)]))
 
 
+def test_geometry_ds_bitwise_equals_the_embedded_points():
+    # D s is read from the constellation's interleaved point table
+    rng = np.random.default_rng(3)
+    for order in (4, 8, 16):
+        const = PskConstellation(order, rng.uniform(0.0, 2.0 * math.pi))
+        np.testing.assert_array_equal(const.points_real.ravel(), embed_vector(const.points))
+        for _ in range(20):
+            symbols = rng.integers(0, order, 6)
+            gammas, sigmas = rng.uniform(0.5, 40.0, 6), rng.uniform(0.1, 3.0, 6)
+            geom = build_ci_geometry(symbols, gammas, sigmas, const)
+            expected = (np.repeat(sigmas * np.sqrt(gammas), 2)
+                        * embed_vector(const.points[symbols]))
+            np.testing.assert_array_equal(geom.ds, expected)
+        np.testing.assert_array_equal(build_ci_geometry(symbols, 2.5, 0.5, const).gammas,
+                                      np.full(6, 2.5))
+
+
 def test_geometry_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ci_geometry([0, 7], [1.0, 1.0], [1.0, 1.0], QPSK)
-    for bad in (-1.0, 0.0, math.nan, math.inf):
+    with pytest.raises(ValueError):
+        build_ci_geometry([-1, 0], [1.0, 1.0], [1.0, 1.0], QPSK)
+    for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             build_ci_geometry([0, 1], [bad, 4.0], [1.0, 1.0], QPSK)
         with pytest.raises(ValueError):

@@ -214,6 +214,36 @@ def test_block_is_the_work_unit(monkeypatch):
             got[(g, 1.0, "nominal-under-distortion")]["mean_power"]
 
 
+def test_each_distinct_tally_is_reduced_once(monkeypatch):
+    # a nominal scheme's tally serves every beta: one MI histogram per user
+    # and (gamma, scheme), where wc-slp needs one per (gamma, beta)
+    calls = Counter()
+
+    def counted(*args, _original=simulator_module.estimate_mi, **kwargs):
+        calls["estimate_mi"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "estimate_mi", counted)
+    cfg = small_config(beta_grid=(1.0, 10.0, 100.0))
+    records = run_sweep(cfg)
+    n_nominal = len(cfg.schemes) - 1
+    assert calls["estimate_mi"] == (len(cfg.gamma_db_grid)
+                                    * (len(cfg.beta_grid) + n_nominal) * cfg.n_r)
+    per_block = [simulator_module._run_block(cfg, b) for b in range(cfg.blocks)]
+    cells = [(g, b, s) for g in cfg.gamma_db_grid for b in cfg.beta_grid
+             for s in cfg.schemes]
+    per_cell = [simulator_module._reduce_cell(cfg, *cell, [t[i] for t in per_block])
+                for i, cell in enumerate(cells)]
+    assert [asdict(r) for r in records] == [asdict(r) for r in per_cell]
+
+
+def test_estimate_mi_rejects_unknown_symbols():
+    received = np.zeros((3, 2))
+    for sent in ([0, 1, 4], [0, -1, 2]):
+        with pytest.raises(ValueError):
+            estimate_mi(received, np.array(sent), 4)
+
+
 def test_run_sweep_zero_noise_nominal_ber_zero():
     cfg = small_config(noise_draw_scale=0.0, schemes=("nominal-slp",),
                        distortion=DistortionSpec(sigma_w_sq=0.0, epsilon=0.0))

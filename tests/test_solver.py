@@ -314,6 +314,29 @@ def test_nominal_slp_feasibility_and_oracle():
         np.testing.assert_allclose(t, t_ref, atol=1e-6)
 
 
+def test_nominal_slp_triangular_solves_match_solve_triangular():
+    # LAPACK trtrs called directly gives the bits of scipy's wrapper
+    from scipy.linalg import LinAlgError, solve_triangular
+    from scipy.optimize import nnls
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 8):
+        h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        chan = build_real_channel(h)
+        chol = chan.gram_cholesky
+        for _ in range(10):
+            geom = build_ci_geometry(rng.integers(0, 4, n), np.full(n, 6.0), np.ones(n), QPSK)
+            design = solve_triangular(chol, geom.a_inv, lower=True)
+            t, _ = nnls(design, -solve_triangular(chol, geom.ds, lower=True))
+            phi_t = geom.ds + geom.a_inv @ t
+            x = chan.matrix.T @ solve_triangular(
+                chol.T, solve_triangular(chol, phi_t, lower=True), lower=False)
+            got_x, got_t = nominal_slp(chan, geom)
+            np.testing.assert_array_equal(got_t, t)
+            np.testing.assert_array_equal(got_x, x)
+    with pytest.raises(LinAlgError):
+        solver_module._solve_chol(np.zeros((2, 2)), np.ones(2))
+
+
 def test_nominal_slp_rejects_rank_deficient():
     chan = build_real_channel([[1.0 + 0j, 0.0], [1.0 + 0j, 0.0]])
     geom = build_ci_geometry([0, 1], [4.0, 4.0], [1.0, 1.0], QPSK)
@@ -416,7 +439,7 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     proto, geoms = _batch_problem(0, 3, 12, 1e6, 0.56, cond=1e3)
     slots = solver_module._slots(geoms)
     zeros = np.zeros((len(geoms), 6))
-    u0, _, phi0 = solver_module._u_step(proto, slots, zeros, zeros)
+    u0, _, phi0, _ = solver_module._u_step(proto, slots, zeros, zeros)
     rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
     assert 0 < np.sum(rounded_flat) < len(geoms)
     batch = _assert_batch_equals_alone(proto, geoms,
@@ -500,3 +523,81 @@ def test_objective_is_worst_case_of_returned_design():
         worst = relaxed_objective(u, t, worst_case_w(u, t, solve_mu(u, t, inst), inst), inst)
         assert report.objective == pytest.approx(worst, rel=1e-9), beta
         assert report.objective > report.trace[-1]   # w does not cancel here
+
+
+@pytest.mark.parametrize("order", [4, 8, 16, 32])
+def test_complex_block_products_equal_the_dense_ones(order):
+    # alpha z + beta conj(z) on the interleaved pairs is the 2x2 block product
+    rng = np.random.default_rng(order)
+    const = PskConstellation(order, rng.uniform(0.0, 2.0 * math.pi))
+    geoms = [build_ci_geometry(rng.integers(0, order, 5), np.full(5, 3.0), np.ones(5),
+                               const) for _ in range(7)]
+    slots = solver_module._slots(geoms)
+    symbols = np.stack([gm.symbols for gm in geoms])
+    v = rng.standard_normal((len(geoms), 10))
+    sigma2 = const.sigma_min ** 2
+    a = solver_module._coefficients(const.normals)[:, symbols]
+    for coef, dense in ((a, [gm.a for gm in geoms]),
+                        (slots.a_inv, [gm.a_inv for gm in geoms]),
+                        (slots.step, [sigma2 * gm.a_inv.T for gm in geoms]),
+                        (slots.b, [np.eye(10) - sigma2 * (gm.a_inv.T @ gm.a_inv)
+                                   for gm in geoms])):
+        expected = np.stack([m @ row for m, row in zip(dense, v)])
+        scale = np.abs(dense).max() * np.abs(v).max()
+        np.testing.assert_allclose(solver_module._bmul(coef, v), expected,
+                                   rtol=0, atol=1e-15 * scale)
+
+
+def test_qpsk_slack_step_is_a_projection():
+    # QPSK's normals are orthonormal: B = I - A^{-T} A^{-1} = 0 up to its
+    # table's rounding and there is no momentum, so the step is
+    # max(A^{-T} r, 0) whatever the momentum iterate z
+    rng = np.random.default_rng(17)
+    geoms = [build_ci_geometry(rng.integers(0, 4, 3), np.full(3, 3.0), np.ones(3), QPSK)
+             for _ in range(4)]
+    slots = solver_module._slots(geoms)
+    assert slots.momentum == 0.0
+    assert np.abs(slots.b).max() <= 1e-16
+    r, t, z = rng.standard_normal((3, 4, 6))
+    t_new, z_new = solver_module._t_step(slots, r, t, z)
+    expected = np.maximum(np.stack([gm.a_inv.T @ row for gm, row in zip(geoms, r)]), 0.0)
+    np.testing.assert_allclose(t_new, expected, rtol=0, atol=1e-15 * np.abs(r).max())
+    assert z_new is t_new
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_loop_residual_is_the_closed_form(n):
+    # the t-step's residual H (G u_k + w_{k+1}) - D s, w_{k+1} = -w_k, read as
+    # K Phi(t_k) - D s + 2 H w_{k+1} from the u-step's product; and at the
+    # start, K Phi(0) - D s + H w_1 with u_0 the w = 0 closed form.  At large
+    # beta the residual is far smaller than the terms it sums, whose size
+    # sets the tolerance.
+    def check(closed, hgu, hw, ds, what):
+        direct = hgu + hw - ds
+        scale = np.linalg.norm(hgu) + np.linalg.norm(hw) + np.linalg.norm(ds)
+        np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-12 * scale,
+                                   err_msg=what)
+
+    rng = np.random.default_rng(40 + n)
+    checked = 0
+    for beta in (1.0, 100.0, 1e4):
+        for eps in (0.0, 0.56):
+            for random_g in (False, True):
+                inst = random_instance(rng, n, beta=beta, eps=eps, random_g=random_g)
+                h, g, ds = inst.h, inst.g, inst.ds
+                w1 = solve(inst, SolverConfig(max_iterations=1)).w
+                k_phi0 = solver_module._u_step(inst, inst.slots, np.zeros((1, 2 * n)),
+                                               np.zeros((1, 2 * n)))[3][0]
+                u0 = update_u(np.zeros(2 * n), np.zeros(2 * n), inst)
+                check(k_phi0 - ds + h @ w1, h @ g @ u0, h @ w1, ds,
+                      f"{beta} {eps} {random_g} start")
+                for k in (1, 2, 5):
+                    rep = solve(inst, SolverConfig(max_iterations=k, outer_tol=1e-15))
+                    w_next = -rep.w
+                    u, _, _, k_phi = solver_module._u_step(
+                        inst, inst.slots, rep.t[None], inst.solve_g(rep.w[None]))
+                    np.testing.assert_allclose(u[0], rep.u, rtol=1e-13, atol=0)
+                    check(k_phi[0] - ds + 2.0 * (h @ w_next), h @ (g @ rep.u),
+                          h @ w_next, ds, f"{beta} {eps} {random_g} {k}")
+                    checked += 1
+    assert checked == 36
