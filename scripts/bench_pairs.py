@@ -34,7 +34,7 @@ def commit_of(checkout: Path) -> dict:
                               capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain")
-    return {"dir": str(checkout), "commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status)}
 
 

@@ -164,24 +164,16 @@ def build_ci_geometry(symbols, gammas, sigmas,
     """Geometry for given symbol indices and per-user SNR targets and noise."""
     symbols = np.atleast_1d(np.asarray(symbols, dtype=int))
     n_r = symbols.size
-    gammas, sigmas = _per_user(gammas, n_r), _per_user(sigmas, n_r)
-    # element loops: on a few users they cost less than the ufunc calls
-    if not all(0.0 < g < math.inf for g in gammas.tolist()):
+    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
+    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n_r,)).copy()
+    if not np.all((gammas > 0) & np.isfinite(gammas)):
         raise ValueError("target SNRs must be positive and finite")
-    if not all(0.0 < s < math.inf for s in sigmas.tolist()):
+    if not np.all((sigmas > 0) & np.isfinite(sigmas)):
         raise ValueError("noise deviations must be positive and finite")
-    if not all(0 <= m < constellation.order for m in symbols.tolist()):
+    if np.any((symbols < 0) | (symbols >= constellation.order)):
         raise ValueError(f"symbol indices must lie in [0, {constellation.order})")
     return CiGeometry(symbols=symbols, gammas=gammas, sigmas=sigmas,
                       constellation=constellation)
-
-
-def _per_user(values, n_r: int) -> np.ndarray:
-    """A scalar or an array broadcast to one float per user, as a new array."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 0:
-        return np.full(n_r, values)
-    return np.broadcast_to(values, (n_r,)).copy()
 
 
 def ml_detect(y, constellation: PskConstellation) -> int:

@@ -376,17 +376,18 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
             per_block = list(pool.map(run, range(config.blocks)))
     else:
         per_block = [run(b) for b in range(config.blocks)]
-    cells = [(g, gamma_db, beta, scheme) for g, gamma_db in enumerate(config.gamma_db_grid)
+    cells = [(gamma_db, beta, scheme) for gamma_db in config.gamma_db_grid
              for beta in config.beta_grid for scheme in config.schemes]
-    records, nominal = [], {}     # nominal: the record of each (gamma, scheme)
-    for i, (g, gamma_db, beta, scheme) in enumerate(cells):
-        if (g, scheme) in nominal:
-            record = replace(nominal[g, scheme], beta=beta)
+    records, reduced = [], {}     # reduced: the record of each distinct tally
+    for i, (gamma_db, beta, scheme) in enumerate(cells):
+        # a tally _run_block shares between cells is one object in every
+        # block (pickling keeps the sharing), so block 0's identifies it
+        key = id(per_block[0][i])
+        if key in reduced:
+            record = replace(reduced[key], beta=beta)
         else:
-            record = _reduce_cell(config, gamma_db, beta, scheme,
-                                  [tallies[i] for tallies in per_block])
-            if scheme != "wc-slp":
-                nominal[g, scheme] = record
+            record = reduced[key] = _reduce_cell(
+                config, gamma_db, beta, scheme, [tallies[i] for tallies in per_block])
         records.append(record)
     return records
 

@@ -341,13 +341,7 @@ def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
 def _t_step(slots: _Slots, r, t, z):
     """Accelerated projected-gradient step on the slack, given the residual
     r = H (G u + w) - D s."""
-    step = _bmul(slots.step, r)
-    if slots.momentum == 0.0:
-        # QPSK: sigma_min = sigma_max, so B = 0 (its table holds rounding
-        # only) and there is no momentum
-        t_new = np.maximum(step, 0.0)
-        return t_new, t_new
-    t_new = np.maximum(_bmul(slots.b, z) + step, 0.0)
+    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
     return t_new, t_new + slots.momentum * (t_new - t)
 
 

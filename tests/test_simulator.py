@@ -214,9 +214,11 @@ def test_block_is_the_work_unit(monkeypatch):
             got[(g, 1.0, "nominal-under-distortion")]["mean_power"]
 
 
-def test_each_distinct_tally_is_reduced_once(monkeypatch):
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
     # a nominal scheme's tally serves every beta: one MI histogram per user
-    # and (gamma, scheme), where wc-slp needs one per (gamma, beta)
+    # and (gamma, scheme), where wc-slp needs one per (gamma, beta); the
+    # sharing survives the pool's pickling
     calls = Counter()
 
     def counted(*args, _original=simulator_module.estimate_mi, **kwargs):
@@ -224,7 +226,7 @@ def test_each_distinct_tally_is_reduced_once(monkeypatch):
         return _original(*args, **kwargs)
 
     monkeypatch.setattr(simulator_module, "estimate_mi", counted)
-    cfg = small_config(beta_grid=(1.0, 10.0, 100.0))
+    cfg = small_config(beta_grid=(1.0, 10.0, 100.0), parallel=parallel)
     records = run_sweep(cfg)
     n_nominal = len(cfg.schemes) - 1
     assert calls["estimate_mi"] == (len(cfg.gamma_db_grid)

@@ -562,7 +562,7 @@ def test_qpsk_slack_step_is_a_projection():
     t_new, z_new = solver_module._t_step(slots, r, t, z)
     expected = np.maximum(np.stack([gm.a_inv.T @ row for gm, row in zip(geoms, r)]), 0.0)
     np.testing.assert_allclose(t_new, expected, rtol=0, atol=1e-15 * np.abs(r).max())
-    assert z_new is t_new
+    np.testing.assert_array_equal(z_new, t_new)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
