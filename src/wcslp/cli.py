@@ -291,10 +291,8 @@ def cmd_solve(args) -> int:
         "converged": bool(report.converged),
         "limit_cycle": bool(report.limit_cycle),
         "iterations": int(report.iterations),
-        "mu": None if report.mu is None else float(report.mu),
         "objective": float(report.objective),
         "fixed_point_residual_max": float(report.fixed_point_residual_max),
-        "w_norm_relerr_max": float(report.w_norm_relerr_max),
         "u": report.u.tolist(),
         "t": report.t.tolist(),
         "w": report.w.tolist(),

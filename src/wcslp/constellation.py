@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,25 +137,6 @@ class CiGeometry:
     @property
     def a_inv_blocks(self) -> np.ndarray:
         return self.constellation.normals_inv[self.symbols]
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        """Dense A, assembled on first use (read-only); likewise ``a_inv``."""
-        return _dense(self.a_blocks)
-
-    @cached_property
-    def a_inv(self) -> np.ndarray:
-        return _dense(self.a_inv_blocks)
-
-
-def _dense(blocks: np.ndarray) -> np.ndarray:
-    """Read-only dense block-diagonal matrix of (n, 2, 2) blocks."""
-    n = len(blocks)
-    out = np.zeros((2 * n, 2 * n))
-    diag = np.arange(n)
-    out.reshape(n, 2, n, 2)[diag, :, diag, :] = blocks
-    out.flags.writeable = False
-    return out
 
 
 def build_ci_geometry(symbols, gammas, sigmas,

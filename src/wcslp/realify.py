@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 
 
 def _as_complex_vector(v) -> np.ndarray:
@@ -74,7 +74,7 @@ class RealChannel:
 
     ``matrix`` has shape (2 n_r, 2 n_t); rows 2i, 2i+1 hold user i's block,
     so ``user_block(i) @ embed_vector(x)`` is (Re, Im) of the complex
-    received sample ``h_i @ x``.  ``gram_cholesky`` is computed from
+    received sample ``h_i @ x``.  ``whitener`` is computed from
     ``matrix`` on first use and cached: treat a channel as immutable.
     """
 
@@ -83,14 +83,17 @@ class RealChannel:
     n_t: int
 
     @cached_property
-    def gram_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor L of H H^T = L L^T, valid only for the
-        unmodified ``matrix``; ValueError unless H has full row rank."""
+    def whitener(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L^{-1}, L^{-1} H) for the lower Cholesky factor L of
+        H H^T = L L^T, both C-contiguous; ValueError unless H has full row
+        rank."""
         h = self.matrix
         svals = np.linalg.svd(h, compute_uv=False)
         if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
             raise ValueError("channel must have full row rank")
-        return cholesky(h @ h.T, lower=True)
+        chol = cholesky(h @ h.T, lower=True)
+        l_inv = np.ascontiguousarray(solve_triangular(chol, np.eye(len(h)), lower=True))
+        return l_inv, l_inv @ h
 
     def user_block(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n_r:

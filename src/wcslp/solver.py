@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq, nnls
 
 from .constellation import CiGeometry, PskConstellation
@@ -54,8 +54,6 @@ _DEGENERATE_RTOL = 1e-13
 _BRACKET_INSET = 1e-10
 # brentq's tightest relative tolerance
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
-# LAPACK's triangular solve (double precision), called without the wrapper
-_trtrs, = get_lapack_funcs(("trtrs",))
 
 
 class SecularPoleError(ValueError):
@@ -95,23 +93,23 @@ class SolverState:
 class SolveReport:
     """Final iterates plus per-run diagnostics.
 
-    ``objective`` is the worst-case value of the returned (u, t): the relaxed
-    objective at the inner maximiser w of that design.  ``trace`` holds, per
-    iteration, the objective right after the u-update, where G u + w equals
-    P^{-1} H^T Phi(t) and w cancels: Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
+    The fields other than ``objective`` and ``trace`` are row 0 of
+    :class:`BatchSolveResult`.  ``objective`` is the worst-case value of the
+    returned (u, t): the relaxed objective at the inner maximiser -w of that
+    design.  ``trace`` holds, per iteration, the objective right after the
+    u-update, where G u + w equals P^{-1} H^T Phi(t) and w cancels:
+    Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
     """
 
     u: np.ndarray
     t: np.ndarray
     w: np.ndarray
-    mu: float | None
     objective: float
     iterations: int
     trace: np.ndarray
     converged: bool
     limit_cycle: bool = False
     fixed_point_residual_max: float = 0.0
-    w_norm_relerr_max: float = 0.0
 
 
 def _momentum(constellation: PskConstellation) -> float:
@@ -233,9 +231,6 @@ class ProblemInstance:
                                   (self.h @ y_op).T])
         self.ds = self.geometry.ds
         self.slots = _slots([self.geometry])
-
-    def apply_p_inv(self, x: np.ndarray) -> np.ndarray:
-        return self.evecs @ ((self.evecs.T @ x) / self.poles)
 
     def solve_g(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x for each row x of ``x``."""
@@ -442,20 +437,18 @@ def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
 class BatchSolveResult:
     """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
 
-    ``mu`` is the multiplier of the last w-step: lam_bar_max after the first
-    (q = 0), 2 lam_bar_max after any later one, NaN at eps = 0.
-    ``w_norm_relerr_max`` is the largest | ||w|| / eps - 1 | over the w-steps.
+    ``w`` is the last w-step's maximiser, on the sphere ||w|| = eps (w = 0 at
+    eps = 0); ``fixed_point_residual_max`` is the largest
+    ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps.
     """
 
     u: np.ndarray
     t: np.ndarray
     w: np.ndarray
-    mu: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     limit_cycle: np.ndarray
     fixed_point_residual_max: np.ndarray
-    w_norm_relerr_max: np.ndarray
 
 
 def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
@@ -504,23 +497,20 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     w = w_pm[0]
     u, y, phi_t, k_phi = _u_step(instance, slots, t, w)
     gu = u @ g_t
-    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(), mu=np.full(count, np.nan),
+    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(),
                            iterations=np.full(count, config.max_iterations),
                            converged=np.zeros(count, dtype=bool),
                            limit_cycle=np.zeros(count, dtype=bool),
-                           fixed_point_residual_max=np.zeros(count),
-                           w_norm_relerr_max=np.zeros(count))
+                           fixed_point_residual_max=np.zeros(count))
     # the last two iterates of u and t; both start at the initial point, which
     # makes the two-iteration window equal the one-iteration one at k = 1
     u_hist, t_hist = np.array((u, u)), np.array((t, t))
     rows = np.arange(count)         # output row of each working row
     fp2_max = np.zeros(count)      # squared fixed-point residual
-    mu = np.nan
 
     def finish(sel, k, still=None):
         idx = rows[sel]
-        out.u[idx], out.t[idx] = u_hist[0, sel], t_hist[0, sel]
-        out.w[idx], out.mu[idx] = w[sel], mu
+        out.u[idx], out.t[idx], out.w[idx] = u_hist[0, sel], t_hist[0, sel], w[sel]
         out.fixed_point_residual_max[idx] = np.sqrt(fp2_max[sel])
         if still is not None:
             out.iterations[idx] = k
@@ -530,16 +520,12 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     for k in range(1, config.max_iterations + 1):
         flip = (k + 1) % 2           # w_k = -w_1 at even k
         if eps > 0 and k == 1:
-            w1, mu = _degenerate_w(gu, phi_t, instance), instance.lam_bar_max
-            # every later w has the same norm
-            out.w_norm_relerr_max[:] = np.abs(_norms(w1) / eps - 1.0)
+            w1 = _degenerate_w(gu, phi_t, instance)
             g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
             w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
             shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))
             r = k_phi + (h_w1 - slots.ds)     # w_0 = 0
         else:
-            if eps > 0:
-                mu = 2.0 * instance.lam_bar_max
             r = k_phi + shift_pm[flip]
         w = w_pm[flip]
         t, z = _t_step(slots, r, t_hist[0], z)
@@ -582,8 +568,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     is needed because the exact u-update makes the inner maximiser settle
     into a sign-flipping two-cycle on the top eigenvector of P, which bounds
     single-step changes away from zero (reported via ``limit_cycle``).
-    Non-convergence is reported, not raised.  ``mu`` is the loop's last
-    multiplier, None at eps = 0.
+    Non-convergence is reported, not raised.
 
     ``objective`` is the worst-case value of the returned (u, t), in closed
     form: the last u-step left q = -P w, so (as in the loop's w-step) the
@@ -594,14 +579,12 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     res = _bcd(instance, instance.slots, config, trace)
     u, t, w = res.u[0], res.t[0], res.w[0]
     return SolveReport(u=u, t=t, w=w,
-                       mu=None if instance.epsilon == 0 else float(res.mu[0]),
                        objective=relaxed_objective(u, t, -w, instance),
                        iterations=int(res.iterations[0]),
                        trace=np.concatenate(trace),
                        converged=bool(res.converged[0]),
                        limit_cycle=bool(res.limit_cycle[0]),
-                       fixed_point_residual_max=float(res.fixed_point_residual_max[0]),
-                       w_norm_relerr_max=float(res.w_norm_relerr_max[0]))
+                       fixed_point_residual_max=float(res.fixed_point_residual_max[0]))
 
 
 def solve_batch(proto: ProblemInstance, geometries,
@@ -622,37 +605,20 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Undistorted power-minimising precoder with hard CI constraints.
 
-    Solves min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0, by
-    eliminating x = H^+ (D s + A^{-1} t) and handing the reduced problem to
-    an exact non-negative least-squares solver.  The channel's Cholesky
-    factor is computed on its first design and shared by the later ones.
+    Solves min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0.  With
+    L L^T = H H^T, x = H^+ Phi(t) has ||x|| = ||L^{-1} Phi(t)||, so t is the
+    non-negative least-squares solution of L^{-1} A^{-1} t ~ -L^{-1} D s,
+    and x = (L^{-1} H)^T L^{-1} Phi(t), whose second factor is that problem's
+    residual.  The design L^{-1} A^{-1} scales each column pair of L^{-1} by
+    its user's 2x2 block; the channel's whitener (L^{-1}, L^{-1} H) is
+    computed on its first design and shared by the later ones.
     """
-    h = channel.matrix
-    chol = channel.gram_cholesky
-    ds = geometry.ds
-    # ||H^+ Phi(t)||^2 = ||L^{-1} Phi(t)||^2 with H H^T = L L^T
-    design = _solve_chol(chol, geometry.a_inv)
-    target = -_solve_chol(chol, ds)
+    l_inv, l_inv_h = channel.whitener
+    m = len(l_inv)
+    design = (l_inv.reshape(m, -1, 1, 2) @ geometry.a_inv_blocks).reshape(m, m)
+    target = -(l_inv @ geometry.ds)
     t, _ = nnls(design, target)
-    phi_t = ds + geometry.a_inv @ t
-    x = h.T @ _solve_chol(chol, _solve_chol(chol, phi_t), trans=1)
-    return x, t
-
-
-def _solve_chol(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """L^{-1} b, or L^{-T} b with ``trans=1``, for a lower triangular L.
-
-    LAPACK's ``trtrs`` is called directly: ``solve_triangular`` makes the
-    same call (the same bits), but its checks and copies cost several times
-    the solve.  Its finiteness check is not needed here: L comes from
-    scipy's checked ``cholesky`` (``RealChannel.gram_cholesky``), and
-    ``build_ci_geometry`` rejects non-finite SNR targets and noise
-    deviations, so D s and A^{-1} are finite.
-    """
-    x, info = _trtrs(chol, b, lower=1, trans=trans)
-    if info != 0:
-        raise LinAlgError(f"trtrs failed with info={info}")
-    return x
+    return l_inv_h.T @ (design @ t - target), t
 
 
 def count_secular_roots(u, t, instance: ProblemInstance) -> int:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import nnls
 
 from .constellation import PskConstellation, build_ci_geometry
@@ -129,7 +130,7 @@ def check_fixed_point(n_instances: int = 20, seed: int = 2,
 
 def _reference_apgd_step(state: SolverState, inst: ProblemInstance):
     """Slack update recomputed from scratch (independent of the solver's cache)."""
-    a = inst.geometry.a
+    a = block_diag(*inst.geometry.a_blocks)
     svals = np.linalg.svd(a, compute_uv=False)
     smin_sq = float(svals.min()) ** 2
     kappa = (float(svals.max()) / float(svals.min())) ** 2
@@ -171,7 +172,7 @@ def check_apgd_oracle(n_instances: int = 50, seed: int = 3,
             if delta <= 1e-13:
                 break
         r = inst.h @ (inst.g @ u + w) - inst.ds
-        t_ref, _ = nnls(inst.geometry.a_inv, r)
+        t_ref, _ = nnls(block_diag(*inst.geometry.a_inv_blocks), r)
         worst = max(worst, float(np.max(np.abs(state.t - t_ref))))
     passed = worst <= tol and worst_step <= 1e-9
     return CheckResult("apgd-nnls-oracle", passed, tol - max(worst, worst_step),

@@ -12,7 +12,7 @@ isolating the defect to the iteration, not the formulation.
 import math
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import block_diag, cholesky, solve_triangular
 from scipy.optimize import nnls
 
 from wcslp.cli import main
@@ -75,7 +75,7 @@ def test_criterion_4_baseline_consistency():
         gu = inst.g @ report.u
         p_nom = float(x_nom @ x_nom)
         gaps.append(abs(float(gu @ gu) - p_nom) / p_nom)
-        margin = inst.geometry.a @ (inst.h @ gu - inst.ds)
+        margin = block_diag(*inst.geometry.a_blocks) @ (inst.h @ gu - inst.ds)
         margins.append(float(margin.min()))
     gaps, margins = np.array(gaps), np.array(margins)
     ok = bool(np.all(gaps <= 1e-3) and np.all(margins >= -1e-6))
@@ -99,7 +99,8 @@ def test_formulation_limit_oracle():
         p_nom = float(x_nom @ x_nom)
         hht = inst.h @ inst.h.T + np.eye(8) / inst.beta
         chol = cholesky(hht, lower=True)
-        design = solve_triangular(chol, inst.geometry.a_inv, lower=True)
+        design = solve_triangular(chol, block_diag(*inst.geometry.a_inv_blocks),
+                                  lower=True)
         target = -solve_triangular(chol, inst.ds, lower=True)
         t_star, _ = nnls(design, target)
         phi_star = phi(t_star, inst.geometry)

@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import wcslp.realify as realify_module
 import wcslp.simulator as simulator_module
@@ -15,7 +16,7 @@ from wcslp.simulator import (DISTORTION_PRESETS, DistortionSpec, SweepConfig,
                              estimate_ber, estimate_mi, run_sweep,
                              sample_channel, sample_distortion,
                              transmit_receive)
-from wcslp.solver import SolverConfig
+from wcslp.solver import SolverConfig, nominal_slp, phi
 
 QPSK = PskConstellation(4)
 
@@ -254,10 +255,20 @@ def test_run_sweep_zero_noise_nominal_ber_zero():
         assert rec.ci_violation_rate == 0.0
 
 
-def test_rounding_is_not_a_ci_violation():
+def test_rounding_is_not_a_ci_violation(monkeypatch):
     # block 2 has cond(H) = 3337 and a nominal design with ||x||^2 = 3.4e8,
     # whose margins round to about -1e-8: far below an absolute -1e-9, yet
-    # only -2.5e-13 of ||H_i|| ||x||
+    # only -2.5e-13 of ||H_i|| ||x||.  Every nominal design meets H x = Phi(t)
+    # within 1.6e-9 of max(1, ||D s||_inf).
+    misses = []
+
+    def checked(chan, geom):
+        x, t = nominal_slp(chan, geom)
+        misses.append(np.abs(chan.matrix @ x - phi(t, geom)).max()
+                      / max(1.0, np.abs(geom.ds).max()))
+        return x, t
+
+    monkeypatch.setattr(simulator_module, "nominal_slp", checked)
     cfg = SweepConfig(n_t=4, n_r=4, gamma_db_grid=(0, 4, 8, 12, 16, 20),
                       beta_grid=(1, 100, 1e4), blocks=4, symbols_per_block=5,
                       schemes=("nominal-slp", "nominal-under-distortion"),
@@ -265,6 +276,7 @@ def test_rounding_is_not_a_ci_violation():
                       solver=SolverConfig(max_iterations=4000, outer_tol=1e-3))
     rates = [r.ci_violation_rate for r in run_sweep(cfg) if r.scheme == "nominal-slp"]
     assert len(rates) == 18 and all(rate == 0.0 for rate in rates)
+    assert len(misses) == 120 and max(misses) <= 1.60e-9
 
 
 @pytest.mark.parametrize("gamma", [10.0, 1e12])
@@ -274,14 +286,15 @@ def test_ci_violation_threshold_scales_with_the_design(gamma):
     symbols = rng.integers(0, 4, (1, 4))
     geom = build_ci_geometry(symbols[0], gamma, 1.0, QPSK)
     pinv = np.linalg.pinv(h)
+    a_inv = block_diag(*geom.a_inv_blocks)
 
     def violations(miss):
         # a design whose margins are 1, except user 0's first one: -miss of
         # ||H_0|| ||x|| (x changes little with it)
         margins = np.ones(8)
-        x = pinv @ (geom.ds + geom.a_inv @ margins)
+        x = pinv @ (geom.ds + a_inv @ margins)
         margins[0] = -miss * np.linalg.norm(h[:2]) * np.linalg.norm(x)
-        x = pinv @ (geom.ds + geom.a_inv @ margins)
+        x = pinv @ (geom.ds + a_inv @ margins)
         return simulator_module._tally(h, symbols, np.zeros((1, 4, 2)), geom.ds[None], QPSK,
                                        x[None], np.ones(1), np.ones(1, dtype=bool)).violations
 
