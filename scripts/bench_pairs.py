@@ -2,7 +2,7 @@
 """Paired benchmark runs of two checkouts of this repository.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload sweep-wc \
-        --pairs 10 --seconds 30
+        --pairs 10 --seconds 30 --out BENCH_12.json
 
 Runs ``perfbench/run.py --workload W --seconds S --seed N`` in the parent and
 in the change checkout, pair after pair, alternating which side runs first;
@@ -10,8 +10,8 @@ both sides of a pair get the same seed.  Each run is a fresh interpreter that
 imports the program from its own checkout.  The end-to-end metrics named in
 the change's ``BENCHMARK.json`` are recorded for every run, with each side's
 median and quartiles and the number of pairs the change won.  The result is
-stored under the workload's name in the output file (``BENCH_10.json`` by
-default); entries of other workloads already there are kept.
+stored under the workload's name in the ``--out`` file, which must be named;
+entries of other workloads already there are kept.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_10.json"))
+    parser.add_argument("--out", type=Path, required=True,
+                        help="JSON file to add the workload's entry to")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")

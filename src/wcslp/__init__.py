@@ -13,8 +13,7 @@ Library layout:
 from .constellation import (CiGeometry, PskConstellation, build_ci_geometry,
                             ci_margin, ci_normals, ml_detect, ml_detect_many)
 from .realify import (RealChannel, RealDistortionMatrix, build_real_channel,
-                      build_real_distortion, embed_vector, pair_rows,
-                      t_transform, unembed_vector)
+                      build_real_distortion, embed_vector, pair_rows)
 from .solver import (ProblemInstance, SolveReport, SolverConfig, SolverState,
                      apgd_t_step, count_secular_roots, mu_bracket, nominal_slp,
                      phi, relaxed_objective, secular_value, solve, solve_mu,
@@ -24,8 +23,7 @@ __all__ = [
     "CiGeometry", "PskConstellation", "build_ci_geometry", "ci_margin",
     "ci_normals", "ml_detect", "ml_detect_many",
     "RealChannel", "RealDistortionMatrix", "build_real_channel",
-    "build_real_distortion", "embed_vector", "pair_rows", "t_transform",
-    "unembed_vector",
+    "build_real_distortion", "embed_vector", "pair_rows",
     "ProblemInstance", "SolveReport", "SolverConfig", "SolverState",
     "apgd_t_step", "count_secular_roots", "mu_bracket", "nominal_slp", "phi",
     "relaxed_objective", "secular_value", "solve", "solve_mu", "update_u",

@@ -128,9 +128,11 @@ def _require(section: dict, key: str, section_name: str, path: str):
     return section[key]
 
 
-def _solver_config(data: dict) -> SolverConfig:
-    raw = data.get("solver", {})
-    return SolverConfig(**raw)
+def _solver_config(data: dict, path: str) -> SolverConfig:
+    try:
+        return SolverConfig(**data.get("solver", {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _fmt(value) -> str:
@@ -170,7 +172,7 @@ def _sweep_config(data: dict, path: str, args) -> SweepConfig:
 
     kwargs = dict(n_t=n_t, n_r=n_r, distortion=distortion)
     if "solver" in data:
-        kwargs["solver"] = _solver_config(data)
+        kwargs["solver"] = _solver_config(data, path)
     rename = {"gamma_db": "gamma_db_grid", "betas": "beta_grid",
               "modulation_order": "constellation_order"}
     for key, value in sec.items():
@@ -261,22 +263,25 @@ def cmd_solve(args) -> int:
     if n_r > n_t:
         raise ConfigError("n_r must not exceed n_t", args.config)
 
-    const = PskConstellation(order, section.get("phase_offset"))
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    chan = sample_channel(n_t, n_r, rng)
     symbols = section.get("symbols")
-    if symbols is None:
-        symbols = tuple(int(s) for s in rng.integers(0, order, n_r))
-    elif len(symbols) != n_r:
+    if symbols is not None and len(symbols) != n_r:
         raise ConfigError(f"expected {n_r} symbol indices, got {len(symbols)}",
                           args.config)
-    gamma = 10.0 ** (gamma_db / 10.0)
-    geometry = build_ci_geometry(symbols, np.full(n_r, gamma),
-                                 np.full(n_r, noise_sigma), const)
-    instance = ProblemInstance(chan.real,
-                               build_real_distortion(np.eye(n_t, dtype=complex)),
-                               geometry, beta, epsilon)
-    solver_config = _solver_config(data)
+    try:
+        const = PskConstellation(order, section.get("phase_offset"))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        chan = sample_channel(n_t, n_r, rng)
+        if symbols is None:
+            symbols = tuple(int(s) for s in rng.integers(0, order, n_r))
+        gamma = 10.0 ** (gamma_db / 10.0)
+        geometry = build_ci_geometry(symbols, np.full(n_r, gamma),
+                                     np.full(n_r, noise_sigma), const)
+        instance = ProblemInstance(chan.real,
+                                   build_real_distortion(np.eye(n_t, dtype=complex)),
+                                   geometry, beta, epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc), args.config) from exc
+    solver_config = _solver_config(data, args.config)
     report = solve(instance, solver_config)
 
     effective = {

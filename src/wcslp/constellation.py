@@ -173,14 +173,15 @@ def ml_detect_many(y, constellation: PskConstellation) -> np.ndarray:
     return np.argmin(d2, axis=-1)
 
 
-def ci_margin(y, symbol: int, gamma: float, sigma: float,
-              constellation: PskConstellation) -> np.ndarray:
-    """Orthogonal distances of y to the two CI boundaries of a symbol.
+def ci_margin(y, apex, symbols, constellation: PskConstellation) -> np.ndarray:
+    """Orthogonal distances of received points to the CI boundaries of
+    their symbols: A_m (y - apex) with A_m = ``ci_normals(m, constellation)``.
 
-    Both components are >= 0 exactly when y lies in the CI region of the
-    symbol at scale sigma*sqrt(gamma).
+    ``y`` and ``apex`` are (..., 2) arrays of real pairs, the apex of symbol
+    m at scale d = sigma sqrt(gamma) being d s_m (a pair of D s), and
+    ``symbols`` holds the matching (...) indices m.  Both components of a
+    margin pair are >= 0 exactly when its point lies in the CI region of its
+    symbol.
     """
-    y = np.asarray(y, dtype=float)
-    a_i = ci_normals(symbol, constellation)
-    apex = sigma * math.sqrt(gamma) * constellation.point(symbol)
-    return a_i @ (y - apex)
+    offset = np.asarray(y, dtype=float) - apex
+    return (constellation.normals[symbols] @ offset[..., None])[..., 0]

@@ -15,56 +15,45 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 
-def _as_complex_vector(v) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    if v.ndim != 1:
-        raise ValueError("expected a complex vector")
-    if not np.all(np.isfinite(v)):
+def _as_complex(a, ndim: int) -> np.ndarray:
+    """``a`` as a finite complex array of ``ndim`` (1 or 2) dimensions; a
+    vector counts as one row of a matrix."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (ValueError, TypeError) as exc:
+        raise ValueError("expected a rectangular numeric array") from exc
+    a = np.atleast_2d(a) if ndim == 2 else np.atleast_1d(a)
+    if a.ndim != ndim:
+        raise ValueError(f"expected {ndim} array dimensions, got {a.ndim}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("entries must be finite")
-    return v
-
-
-def t_transform(v) -> np.ndarray:
-    """Block real form [[Re v, -Im v], [Im v, Re v]] of a complex row vector.
-
-    Returns a 2 x 2n matrix whose two column blocks are the real and
-    imaginary parts of ``v``.
-    """
-    v = _as_complex_vector(v)
-    top = np.concatenate([v.real, -v.imag])
-    bottom = np.concatenate([v.imag, v.real])
-    return np.vstack([top, bottom])
+    return a
 
 
 def embed_vector(v) -> np.ndarray:
-    """Interleave a complex vector into (Re, Im) pairs (length 2n)."""
-    v = _as_complex_vector(v)
+    """Interleave a complex vector into (Re, Im) pairs (length 2n); reading
+    the result as complex (``.view(complex)``) gives ``v`` back."""
+    v = _as_complex(v, 1)
     out = np.empty(2 * v.size)
     out[0::2] = v.real
     out[1::2] = v.imag
     return out
 
 
-def unembed_vector(x) -> np.ndarray:
-    """Inverse of :func:`embed_vector`."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 2:
-        raise ValueError("expected an even-length real vector")
-    return x[0::2] + 1j * x[1::2]
+def pair_rows(m) -> np.ndarray:
+    """Real 2p x 2n matrix R of a complex p x n matrix (or a vector, p = 1)
+    with R @ embed_vector(x) = embed_vector(m @ x).
 
-
-def pair_rows(v) -> np.ndarray:
-    """2 x 2n matrix R with R @ embed_vector(x) = (Re(v @ x), Im(v @ x)).
-
-    Column pair k is the 2x2 rotation-scaling block of entry v_k, i.e. the
-    interleaved-layout counterpart of :func:`t_transform`.
+    Each complex row becomes a pair of real rows: entry (j, k) is the 2x2
+    rotation-scaling block [[Re, -Im], [Im, Re]] at rows 2j, 2j+1 and
+    columns 2k, 2k+1.
     """
-    v = _as_complex_vector(v)
-    out = np.empty((2, 2 * v.size))
-    out[0, 0::2] = v.real
-    out[0, 1::2] = -v.imag
-    out[1, 0::2] = v.imag
-    out[1, 1::2] = v.real
+    m = _as_complex(m, 2)
+    out = np.empty((2 * m.shape[0], 2 * m.shape[1]))
+    out[0::2, 0::2] = m.real
+    out[0::2, 1::2] = -m.imag
+    out[1::2, 0::2] = m.imag
+    out[1::2, 1::2] = m.real
     return out
 
 
@@ -73,8 +62,8 @@ class RealChannel:
     """Real-embedded downlink channel: two rows per user.
 
     ``matrix`` has shape (2 n_r, 2 n_t); rows 2i, 2i+1 hold user i's block,
-    so ``user_block(i) @ embed_vector(x)`` is (Re, Im) of the complex
-    received sample ``h_i @ x``.  ``whitener`` is computed from
+    so ``matrix[2 * i:2 * i + 2] @ embed_vector(x)`` is (Re, Im) of the
+    complex received sample ``h_i @ x``.  ``whitener`` is computed from
     ``matrix`` on first use and cached: treat a channel as immutable.
     """
 
@@ -95,29 +84,12 @@ class RealChannel:
         l_inv = np.ascontiguousarray(solve_triangular(chol, np.eye(len(h)), lower=True))
         return l_inv, l_inv @ h
 
-    def user_block(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n_r:
-            raise IndexError(f"user index {i} out of range")
-        return self.matrix[2 * i:2 * i + 2, :]
-
 
 def build_real_channel(rows) -> RealChannel:
-    """Stack per-user row transforms into a RealChannel.
-
-    ``rows`` holds one complex channel vector per user (equal lengths).
-    """
-    try:
-        arr = np.asarray(rows, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise ValueError("channel vectors must share a common length") from exc
-    arr = np.atleast_2d(arr)
-    if arr.ndim != 2:
-        raise ValueError("channel vectors must share a common length")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("channel entries must be finite")
-    n_r, n_t = arr.shape
-    mat = np.vstack([pair_rows(arr[i]) for i in range(n_r)])
-    return RealChannel(matrix=mat, n_r=n_r, n_t=n_t)
+    """RealChannel of a complex channel with one row (of equal length) per
+    user: :func:`pair_rows` of it."""
+    mat = pair_rows(rows)
+    return RealChannel(matrix=mat, n_r=len(mat) // 2, n_t=mat.shape[1] // 2)
 
 
 @dataclass
@@ -129,16 +101,12 @@ class RealDistortionMatrix:
 
 
 def build_real_distortion(gbar) -> RealDistortionMatrix:
-    """Real 2n x 2n embedding G of a complex n x n matrix.
+    """Real 2n x 2n embedding G of a complex n x n matrix: :func:`pair_rows`.
 
     Satisfies G @ embed_vector(u) = embed_vector(gbar @ u) for every u;
     G is invertible exactly when gbar is.
     """
-    gbar = np.atleast_2d(np.asarray(gbar, dtype=complex))
-    if gbar.ndim != 2 or gbar.shape[0] != gbar.shape[1]:
+    mat = pair_rows(gbar)
+    if mat.shape[0] != mat.shape[1]:
         raise ValueError("distortion matrix must be square")
-    if not np.all(np.isfinite(gbar)):
-        raise ValueError("entries must be finite")
-    n = gbar.shape[0]
-    mat = np.vstack([pair_rows(gbar[j]) for j in range(n)])
-    return RealDistortionMatrix(matrix=mat, n_t=n)
+    return RealDistortionMatrix(matrix=mat, n_t=len(mat) // 2)

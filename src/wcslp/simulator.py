@@ -26,7 +26,8 @@ import numpy as np
 import scipy
 from scipy.stats import chi2
 
-from .constellation import PskConstellation, build_ci_geometry, ml_detect_many
+from .constellation import (PskConstellation, build_ci_geometry, ci_margin,
+                            ml_detect_many)
 from .realify import RealChannel, RealDistortionMatrix, build_real_channel
 from .solver import ProblemInstance, SolverConfig, nominal_slp, solve_batch
 
@@ -103,6 +104,11 @@ class SweepConfig:
             raise ValueError("blocks and symbols_per_block must be positive")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive")
+        order = self.constellation_order
+        if order < 4 or order & (order - 1):
+            # the CI regions need M >= 4 and the Gray labels of the BER a
+            # power of two
+            raise ValueError(f"modulation order must be a power of two >= 4, got {order}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -149,43 +155,10 @@ def calibrate_epsilon(confidence: float, sigma_w_sq: float, n_t: int) -> float:
     return math.sqrt(0.5 * sigma_w_sq * chi2.ppf(confidence, df=2 * n_t))
 
 
-def sample_distortion(sigma_w_sq: float, n_t: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One i.i.d. CSCG distortion draw as an interleaved real vector."""
-    if sigma_w_sq < 0:
-        raise ValueError("variance must be non-negative")
-    return math.sqrt(sigma_w_sq / 2.0) * rng.standard_normal(2 * n_t)
-
-
-def transmit_receive(u, w_actual, channel: RealChannel,
-                     distortion: RealDistortionMatrix, noise_sigmas,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Noise-corrupted per-user received points r_i = H_i (G u + w) + z_i.
-
-    Noise is Gaussian with variance sigma_i^2 / 2 per real component, i.e.
-    E|z_i|^2 = sigma_i^2 for the complex sample.  Returns an (n_r, 2) array.
-    """
-    x = distortion.matrix @ np.asarray(u, dtype=float) + np.asarray(w_actual, dtype=float)
-    clean = (channel.matrix @ x).reshape(channel.n_r, 2)
-    sigmas = np.broadcast_to(np.asarray(noise_sigmas, dtype=float), (channel.n_r,))
-    noise = rng.standard_normal((channel.n_r, 2)) * (sigmas / math.sqrt(2.0))[:, None]
-    return clean + noise
-
-
 def _bit_errors(detected, sent, constellation: PskConstellation) -> int:
     """Bits that differ between the Gray labels of detected and sent indices."""
     labels = constellation.gray_labels
     return int(np.bitwise_count(labels[detected] ^ labels[sent]).sum())
-
-
-def estimate_ber(detected, sent, constellation: PskConstellation) -> float:
-    """Bit error rate under reflected Gray labeling of the phase index."""
-    detected = np.asarray(detected, dtype=int)
-    sent = np.asarray(sent, dtype=int)
-    if detected.shape != sent.shape:
-        raise ValueError("detected / sent shape mismatch")
-    return (_bit_errors(detected, sent, constellation)
-            / (detected.size * constellation.bits_per_symbol))
 
 
 def estimate_mi(received, sent, order: int, bins: int = 64) -> float:
@@ -247,6 +220,11 @@ class _BlockTally:
 
 
 def _block_draws(config: SweepConfig, block_index: int):
+    """One block's channel, symbol indices (n_sym, n_r), distortion
+    (n_sym, 2 n_t) and receiver noise (n_sym, n_r, 2), from the substream of
+    (seed, block index).  The distortion is CN(0, sigma_w^2 I) and the noise
+    has variance (noise_sigma * noise_draw_scale)^2 / 2 per real component,
+    both in interleaved (Re, Im) pairs."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, block_index)))
     chan = sample_channel(config.n_t, config.n_r, rng)
     n_sym = config.symbols_per_block
@@ -313,9 +291,7 @@ def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
     tally.bits = int(sent.size * const.bits_per_symbol)
     tally.power_sum = float(powers[used].sum())
     tally.used_symbols = int(used.size)
-    # noise-free CI margins A_i (y_i - (D s)_i), one 2x2 product per user
-    offset = y_clean - ds[used].reshape(used.size, n_r, 2)
-    margins = (const.normals[sent] @ offset[..., None])[..., 0]
+    margins = ci_margin(y_clean, ds[used].reshape(used.size, n_r, 2), sent, const)
     scale = np.outer(np.linalg.norm(x_clean[used], axis=1),          # ||x_j|| ||H_i||
                      np.linalg.norm(h.reshape(n_r, -1), axis=1))
     tally.violations = int(np.sum(margins.min(axis=2) < -_VIOLATION_RTOL * scale))

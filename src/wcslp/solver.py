@@ -321,16 +321,11 @@ def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float)
     return brentq(f, lo, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
 
 
-def _degenerate_w(gu, phi_t, instance: ProblemInstance) -> np.ndarray:
-    # q = 0 leaves only the quadratic term: the maximiser is the scaled top
-    # eigenvector of P; evaluate both signs in case of numerical asymmetry
-    # (ties within rounding resolve to +).
-    cand = instance.epsilon * instance.evecs[:, -1]
-    obj = []
-    for x in (gu + cand, gu - cand):
-        resid = x @ instance.h.T - phi_t
-        obj.append(np.sum(x * x, axis=1) + instance.beta * np.sum(resid * resid, axis=1))
-    return np.where(obj[1] > obj[0] * (1.0 + 1e-12), -1.0, 1.0)[:, None] * cand
+def _degenerate_w(count: int, instance: ProblemInstance) -> np.ndarray:
+    # q = 0 leaves only the quadratic term, whose maximisers are +-eps v_top
+    # with v_top the top eigenvector of P; both signs give the same value, so
+    # take +
+    return np.tile(instance.epsilon * instance.evecs[:, -1], (count, 1))
 
 
 def _t_step(slots: _Slots, r, t, z):
@@ -402,9 +397,9 @@ def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
     """Inner maximiser w = -(P - mu I)^{-1} q on the distortion sphere."""
     if instance.epsilon == 0:
         return np.zeros(2 * instance.channel.n_t)
-    gu, phi_t, qt, _, degen = _one_row_parts(u, t, instance)
+    _, _, qt, _, degen = _one_row_parts(u, t, instance)
     if degen[0]:
-        return _degenerate_w(gu, phi_t, instance)[0]
+        return _degenerate_w(1, instance)[0]
     if np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
         raise SecularPoleError(f"shift mu={mu!r} is singular")
     return (qt[0] / (mu - instance.poles)) @ instance.evecs.T
@@ -466,7 +461,8 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     G u_k = P^{-1} H^T Phi(t_k) - w_k, so the next w-step's
     q = P G u_k - H^T Phi(t_k) equals -P w_k, whatever t is (any invertible
     G, any beta, eps > 0).  At the start q = 0, so the first w-step is the
-    degenerate one, w_1 = +-eps v_top with v_top a top eigenvector of P.
+    degenerate one: both of +-eps v_top, with v_top a top eigenvector of
+    P, are maximisers, and w_1 = +eps v_top.
     From then on q = -lam_bar_max w_k lies on v_top, the largest secular
     root is mu = lam_bar_max + ||q|| / eps = 2 lam_bar_max, and the
     maximiser q / (mu - lam_bar_max) is -w_k.  So w_k = (-1)^(k-1) w_1: the
@@ -495,8 +491,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     w_pm = g_inv_w_pm = np.zeros((2, count, g_t.shape[0]))
     shift_pm = np.array((-slots.ds, -slots.ds))
     w = w_pm[0]
-    u, y, phi_t, k_phi = _u_step(instance, slots, t, w)
-    gu = u @ g_t
+    u, _, _, k_phi = _u_step(instance, slots, t, w)
     out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(),
                            iterations=np.full(count, config.max_iterations),
                            converged=np.zeros(count, dtype=bool),
@@ -520,7 +515,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     for k in range(1, config.max_iterations + 1):
         flip = (k + 1) % 2           # w_k = -w_1 at even k
         if eps > 0 and k == 1:
-            w1 = _degenerate_w(gu, phi_t, instance)
+            w1 = _degenerate_w(count, instance)
             g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
             w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
             shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))

@@ -106,6 +106,22 @@ def test_missing_beta_names_the_key(tmp_path, capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("command, ini, old, new", [
+    ("sweep", SWEEP_INI, "n_r = 4\n", "n_r = 4\nmodulation_order = 6\n"),
+    ("sweep", SWEEP_INI, "n_r = 4\n", "n_r = 4\nmodulation_order = 3\n"),
+    ("sweep", SWEEP_INI, "max_iterations = 1500", "max_iterations = 0"),
+    ("solve", SOLVE_INI, "beta = 10.0", "beta = -1"),
+    ("solve", SOLVE_INI, "seed = 2", "seed = 2\nsymbols = 0, 1, 9"),
+], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range"])
+def test_bad_values_are_config_errors(tmp_path, capsys, command, ini, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_is_line_anchored(tmp_path, capsys):
     path = tmp_path / "typo.ini"
     path.write_text("[sweep]\nn_t = 4\nn_r = 4\nbata = 1\n")

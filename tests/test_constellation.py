@@ -163,15 +163,20 @@ def test_ml_detect_many_matches_scalar():
 
 
 def test_ci_margin_examples():
-    apex = ci_margin(2 * np.array([QPSK.points[0].real, QPSK.points[0].imag]),
-                     0, 4.0, 1.0, QPSK)
-    np.testing.assert_allclose(apex, [0, 0], atol=1e-12)
-    margin = ci_margin([2.5, 2.1], 0, 4.0, 1.0, QPSK)
+    apex = 2 * QPSK.points_real[0]       # sigma sqrt(gamma) s_0 at gamma 4
+    np.testing.assert_allclose(ci_margin(apex, apex, 0, QPSK), [0, 0], atol=1e-12)
+    margin = ci_margin([2.5, 2.1], apex, 0, QPSK)
     np.testing.assert_allclose(sorted(margin),
                                sorted([2.5 - math.sqrt(2), 2.1 - math.sqrt(2)]))
     # deep in the opposite sector: some component negative
-    wrong = ci_margin([-3.0, -2.0], 0, 4.0, 1.0, QPSK)
+    wrong = ci_margin([-3.0, -2.0], apex, 0, QPSK)
     assert wrong.min() < 0
+    # stacked points, one symbol each, as the sweep's tally takes them
+    ys = np.array([[[2.5, 2.1], [-3.0, -2.0]]])
+    apexes = np.array([[apex, 2 * QPSK.points_real[2]]])
+    np.testing.assert_allclose(ci_margin(ys, apexes, np.array([[0, 2]]), QPSK),
+                               [[margin, ci_margin(ys[0, 1], apexes[0, 1], 2, QPSK)]],
+                               rtol=1e-15)
 
 
 @given(st.sampled_from([4, 8]), st.integers(0, 7),
@@ -184,7 +189,7 @@ def test_ci_region_inside_ml_region(order, m, a1, a2, gamma):
     normals = ci_normals(m, const)
     apex = math.sqrt(gamma) * const.point(m)
     y = apex + np.linalg.solve(normals, [a1, a2])  # margins exactly (a1, a2)
-    margins = ci_margin(y, m, gamma, 1.0, const)
+    margins = ci_margin(y, apex, m, const)
     assert margins.min() >= -1e-9
     assert ml_detect(y, const) == m
 

@@ -10,12 +10,10 @@ from scipy.linalg import block_diag
 import wcslp.realify as realify_module
 import wcslp.simulator as simulator_module
 from wcslp.constellation import PskConstellation, build_ci_geometry
-from wcslp.realify import RealDistortionMatrix, build_real_channel
+from wcslp.realify import embed_vector
 from wcslp.simulator import (DISTORTION_PRESETS, DistortionSpec, SweepConfig,
                              calibrate_epsilon, energy_efficiency,
-                             estimate_ber, estimate_mi, run_sweep,
-                             sample_channel, sample_distortion,
-                             transmit_receive)
+                             estimate_mi, run_sweep, sample_channel)
 from wcslp.solver import SolverConfig, nominal_slp, phi
 
 QPSK = PskConstellation(4)
@@ -53,11 +51,15 @@ def test_calibrate_epsilon_monotone():
 
 
 def test_sample_distortion_statistics():
-    rng = np.random.default_rng(1)
-    draws = np.stack([sample_distortion(0.02, 8, rng) for _ in range(20000)])
-    norms_sq = np.sum(draws ** 2, axis=1)
-    assert norms_sq.mean() == pytest.approx(8 * 0.02, rel=0.05)
-    assert np.all(sample_distortion(0.0, 8, rng) == 0.0)
+    # the sweep's distortion draws: E||w||^2 = n_t sigma_w^2 per slot, w = 0
+    # at sigma_w^2 = 0
+    cfg = small_config(n_t=8, symbols_per_block=20_000,
+                       distortion=DistortionSpec(sigma_w_sq=0.02, epsilon=0.56))
+    w = simulator_module._block_draws(cfg, 0)[2]
+    assert w.shape == (20_000, 16)
+    assert np.sum(w * w, axis=1).mean() == pytest.approx(8 * 0.02, rel=0.05)
+    cfg = replace(cfg, distortion=DistortionSpec(sigma_w_sq=0.0, epsilon=0.0))
+    assert np.all(simulator_module._block_draws(cfg, 0)[2] == 0.0)
 
 
 def test_distortion_exceeds_radius_at_stated_rate():
@@ -68,43 +70,61 @@ def test_distortion_exceeds_radius_at_stated_rate():
     assert frac == pytest.approx(0.01, abs=0.003)
 
 
+def _received(x, noise):
+    """The tally's received points (n_r, slots, 2) of signals x (slots, 2 n_t)
+    through a 4x3 channel, and that channel's complex matrix."""
+    rng = np.random.default_rng(9)
+    chan = sample_channel(4, 3, rng)
+    symbols = rng.integers(0, 4, (len(x), 3))
+    tally = simulator_module._tally(chan.real.matrix, symbols, noise, np.zeros((len(x), 6)),
+                                    QPSK, x, np.ones(len(x)), np.ones(len(x), dtype=bool))
+    return tally.received, chan.h
+
+
 def test_transmit_receive_noiseless():
-    chan = build_real_channel([[1.0 + 0j, 1j]])
-    g = RealDistortionMatrix(np.eye(4), 2)
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    r = transmit_receive(u, np.zeros(4), chan, g, 0.0, np.random.default_rng(0))
-    np.testing.assert_allclose(r, (chan.matrix @ u).reshape(1, 2))
+    # at zero noise the tally receives h_i x at user i, in (Re, Im) pairs
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    received, h = _received(np.stack([embed_vector(row) for row in x]), np.zeros((5, 3, 2)))
+    np.testing.assert_allclose(received[..., 0] + 1j * received[..., 1], h @ x.T,
+                               rtol=0, atol=1e-12)
 
 
 def test_transmit_receive_noise_variance():
-    chan = build_real_channel([[1.0 + 0j]])
-    g = RealDistortionMatrix(np.eye(2), 1)
-    rng = np.random.default_rng(3)
-    rs = np.stack([transmit_receive(np.zeros(2), np.zeros(2), chan, g, 2.0, rng)
-                   for _ in range(20000)])
-    # per real component variance sigma^2 / 2 = 2.0
-    assert rs.var() == pytest.approx(2.0, rel=0.05)
+    # the sweep's receiver noise: variance (noise_sigma * noise_draw_scale)^2 / 2
+    # per real component, so E|z_i|^2 = (noise_sigma * noise_draw_scale)^2
+    for sigma, scale in ((2.0, 1.0), (1.0, 0.5)):
+        cfg = small_config(noise_sigma=sigma, noise_draw_scale=scale,
+                           symbols_per_block=20_000)
+        noise = simulator_module._block_draws(cfg, 0)[3]
+        assert noise.shape == (20_000, 4, 2)
+        assert noise.var() == pytest.approx((sigma * scale) ** 2 / 2.0, rel=0.05)
+    cfg = replace(cfg, noise_draw_scale=0.0)
+    assert np.all(simulator_module._block_draws(cfg, 0)[3] == 0.0)
 
 
 def test_transmit_receive_linear_in_u():
-    chan = build_real_channel([[0.3 - 0.7j, 1.1 + 0j]])
-    g = RealDistortionMatrix(np.eye(4), 2)
+    # received points are H x plus the block's noise draw: linear in the signal
     rng = np.random.default_rng(4)
-    u1, u2 = rng.standard_normal(4), rng.standard_normal(4)
-    r1 = transmit_receive(u1, np.zeros(4), chan, g, 0.0, rng)
-    r2 = transmit_receive(u2, np.zeros(4), chan, g, 0.0, rng)
-    r12 = transmit_receive(u1 + u2, np.zeros(4), chan, g, 0.0, rng)
+    x1, x2 = rng.standard_normal((2, 6, 8))
+    noise, zeros = rng.standard_normal((6, 3, 2)), np.zeros((6, 3, 2))
+    r1, r2, r12 = (_received(x, zeros)[0] for x in (x1, x2, x1 + x2))
     np.testing.assert_allclose(r12, r1 + r2, atol=1e-12)
+    np.testing.assert_allclose(_received(x1, noise)[0], r1 + noise.transpose(1, 0, 2),
+                               atol=1e-12)
 
 
 def test_estimate_ber_cases():
+    # the tally's bit errors under reflected Gray labels of the phase index
+    bit_errors = simulator_module._bit_errors
     sent = np.arange(4).repeat(10)
-    assert estimate_ber(sent, sent, QPSK) == 0.0
-    assert estimate_ber((sent + 2) % 4, sent, QPSK) == 1.0
+    assert bit_errors(sent, sent, QPSK) == 0
+    # antipodal QPSK symbols differ in both bits
+    assert bit_errors((sent + 2) % 4, sent, QPSK) == 2 * sent.size
     rng = np.random.default_rng(5)
     sent = rng.integers(0, 4, 200_000)
     detected = rng.integers(0, 4, 200_000)
-    assert estimate_ber(detected, sent, QPSK) == pytest.approx(0.5, abs=0.01)
+    assert bit_errors(detected, sent, QPSK) / (2 * sent.size) == pytest.approx(0.5, abs=0.01)
 
 
 def test_estimate_mi_noiseless_qpsk():

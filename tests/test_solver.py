@@ -449,6 +449,13 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     _assert_batch_equals_alone(proto, geoms, SolverConfig(max_iterations=30, outer_tol=1e-6))
 
 
+def test_solve_batch_rejects_mixed_constellations():
+    proto, geoms = _batch_problem(16, 3, 4, 10.0, 0.56)
+    psk8 = build_ci_geometry([0, 5, 7], np.full(3, 10.0), np.ones(3), PskConstellation(8))
+    with pytest.raises(ValueError, match="one constellation"):
+        solve_batch(proto, geoms + [psk8])
+
+
 def test_root_search_certifies_a_sign_change():
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
