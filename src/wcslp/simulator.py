@@ -104,6 +104,14 @@ class SweepConfig:
             raise ValueError("blocks and symbols_per_block must be positive")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive")
+        if not all(math.isfinite(g) for g in self.gamma_db_grid):
+            raise ValueError(f"gamma_db entries must be finite, got {self.gamma_db_grid}")
+        if not all(b > 0 for b in self.beta_grid):
+            raise ValueError(f"betas must be positive, got {self.beta_grid}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.mi_bins < 2:
+            raise ValueError("mi_bins must be >= 2")
         order = self.constellation_order
         if order < 4 or order & (order - 1):
             # the CI regions need M >= 4 and the Gray labels of the BER a

@@ -328,21 +328,20 @@ def _degenerate_w(count: int, instance: ProblemInstance) -> np.ndarray:
     return np.tile(instance.epsilon * instance.evecs[:, -1], (count, 1))
 
 
-def _t_step(slots: _Slots, r, t, z):
+def _t_step(slots: _Slots, r, t, z, out=None):
     """Accelerated projected-gradient step on the slack, given the residual
-    r = H (G u + w) - D s."""
-    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
+    r = H (G u + w) - D s; the new t is written to ``out`` if given."""
+    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0, out=out)
     return t_new, t_new + slots.momentum * (t_new - t)
 
 
-def _u_step(instance, slots: _Slots, t, g_inv_w):
-    """Closed-form u = G^{-1} y - G^{-1} w, y = P^{-1} H^T Phi(t), given
-    G^{-1} w; also returns y, Phi(t) and K Phi(t) = H y."""
-    phi_t = _bmul(slots.a_inv, t)
-    phi_t += slots.ds
-    prod = phi_t @ instance.phi_ops
-    n = len(instance.g)
-    return prod[:, n:2 * n] - g_inv_w, prod[:, :n], phi_t, prod[:, 2 * n:]
+def _phi_product(instance, slots: _Slots, t, phi_out=None, prod_out=None):
+    """Phi(t) = D s + A^{-1} t and its product with the instance's operators,
+    [y | G^{-1} y | K Phi(t)] with y = P^{-1} H^T Phi(t): the u-step's
+    u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y.  The
+    results are written to ``phi_out`` and ``prod_out`` if given."""
+    phi_t = np.add(_bmul(slots.a_inv, t), slots.ds, out=phi_out)
+    return phi_t, np.matmul(phi_t, instance.phi_ops, out=prod_out)
 
 
 # -- single-design views of the steps ---------------------------------------
@@ -423,18 +422,24 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
 def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
     """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
     g_inv_w = instance.solve_g(np.asarray(w, dtype=float)[None])
-    u = _u_step(instance, instance.slots, np.ascontiguousarray(t, dtype=float)[None],
-                g_inv_w)[0]
-    return u[0]
+    prod = _phi_product(instance, instance.slots,
+                        np.ascontiguousarray(t, dtype=float)[None])[1]
+    n = len(instance.g)
+    return prod[0, n:2 * n] - g_inv_w[0]
 
 
 @dataclass
 class BatchSolveResult:
     """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
 
-    ``w`` is the last w-step's maximiser, on the sphere ||w|| = eps (w = 0 at
-    eps = 0); ``fixed_point_residual_max`` is the largest
-    ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps.
+    Each row holds the iterate of the first iteration whose stopping test
+    passed (or of the last one the budget allows): ``iterations`` counts up
+    to it, and ``converged`` and ``limit_cycle`` are its test's outcome.  The
+    test is evaluated per iteration, once per block of iterations (see
+    :func:`_bcd`).  ``w`` is that iteration's w-step maximiser, on the sphere
+    ||w|| = eps (w = 0 at eps = 0); ``fixed_point_residual_max`` is the
+    largest ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps up
+    to it.
     """
 
     u: np.ndarray
@@ -446,6 +451,10 @@ class BatchSolveResult:
     fixed_point_residual_max: np.ndarray
 
 
+# iterations of the loop per evaluation of its stopping test (see _bcd)
+_BLOCK = 16
+
+
 def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
          trace: list | None = None) -> BatchSolveResult:
     """The block coordinate ascent-descent loop over stacked symbol slots.
@@ -453,9 +462,10 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     Each row starts from t = z = 0 and u equal to the regularised channel
     inversion of D s (the w = 0 closed form), then repeats the w-step, the
     t-step and the u-step until the relative change of (u, t) over a one- or
-    two-iteration window drops below ``outer_tol``.  A row that stops leaves
-    the working arrays, so the remaining rows run on as if alone.  A
-    ``trace`` list gets each iteration's objective after the u-update.
+    two-iteration window drops below ``outer_tol``, and stops at the first
+    iteration where it does.  A ``trace`` list gets, per block of
+    iterations, the objective after each u-update up to the last row's stop,
+    as an (iterations, rows) array.
 
     The w-step is in closed form.  The u-step sets
     G u_k = P^{-1} H^T Phi(t_k) - w_k, so the next w-step's
@@ -468,88 +478,114 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     maximiser q / (mu - lam_bar_max) is -w_k.  So w_k = (-1)^(k-1) w_1: the
     sign-flipping two-cycle that :func:`solve` reports as ``limit_cycle``.
 
-    The u-step is one product with the instance's operators:
-    u_k = G^{-1} y_k - G^{-1} w_k with y_k = P^{-1} H^T Phi(t_k), where
-    G^{-1} w_1 is solved once per row and then only flips sign.
+    The u-step is one product with the instance's operators
+    (:func:`_phi_product`): u_k = G^{-1} y_k - G^{-1} w_k with
+    y_k = P^{-1} H^T Phi(t_k), where G^{-1} w_1 is solved once per row and
+    then only flips sign.
 
     The t-step's residual is in closed form too.  Step k needs
     H (G u_{k-1} + w_k) - D s, and the u-step left G u_{k-1} + w_{k-1} =
     y_{k-1}, so it equals K Phi(t_{k-1}) - D s + H (w_k - w_{k-1}) with
     K = H P^{-1} H^T: K Phi(t_0) - D s + H w_1 at k = 1 (w_0 = 0), and
     K Phi(t_{k-1}) - D s + 2 H w_k from k = 2 on (w_{k-1} = -w_k).  H w_1 is
-    computed once per row; at eps = 0 the residual is K Phi - D s.  The
-    fixed-point residual G u + w - y, the stopping test and the trace are
-    still evaluated every iteration.
+    computed once per row; at eps = 0 the residual is K Phi - D s.
+
+    So the recurrence needs only t, z, the sign of w and the product.  It
+    runs ``_BLOCK`` iterations at a time, storing t_k, Phi(t_k) and the
+    product per iteration in buffers reused across blocks.  At the end of a
+    block, u_k, the fixed-point residual G u + w - y, the stopping test and
+    the trace are evaluated for all its iterations at once, with the same
+    expressions as one iteration at a time; each row takes the first
+    iteration whose test passed, and the rows that stopped leave the
+    working arrays at the block's end.  Their extra iterations touch no other
+    row, so each row runs as if alone, up to the rounding of the product,
+    which depends on how many rows share it.  No block runs past
+    ``max_iterations``.
     """
-    count = len(slots.ds)
+    count, m = slots.ds.shape
+    n = len(instance.g)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
-    g_t, h_t = instance.g.T, instance.h.T
-    t = np.zeros((count, slots.ds.shape[1]))
-    z = t
+    h_t = instance.h.T
     # w_k, G^{-1} w_k and the residual's -D s + 2 H w_k at odd and even k, on
     # a leading axis indexed by flip: w_k = +-w_1 alternates with k
-    w_pm = g_inv_w_pm = np.zeros((2, count, g_t.shape[0]))
+    w_pm = g_inv_w_pm = np.zeros((2, count, n))
     shift_pm = np.array((-slots.ds, -slots.ds))
-    w = w_pm[0]
-    u, _, _, k_phi = _u_step(instance, slots, t, w)
-    out = BatchSolveResult(u=u.copy(), t=t.copy(), w=w.copy(),
-                           iterations=np.full(count, config.max_iterations),
+    # per block of iterations: u and t after the two iterates before it
+    # (both the initial point in the first block, which makes the
+    # two-iteration window equal the one-iteration one at k = 1), Phi(t) and
+    # the product
+    block = min(_BLOCK, config.max_iterations)
+    u_buf, t_buf = np.empty((block + 2, count, n)), np.zeros((block + 2, count, m))
+    phi_buf, prod_buf = np.empty((block, count, m)), np.empty((block, count, 2 * n + m))
+    prod = _phi_product(instance, slots, t_buf[0])[1]
+    u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
+    z = np.zeros((count, m))
+    out = BatchSolveResult(u=np.empty((count, n)), t=np.empty((count, m)),
+                           w=np.empty((count, n)),
+                           iterations=np.zeros(count, dtype=int),
                            converged=np.zeros(count, dtype=bool),
                            limit_cycle=np.zeros(count, dtype=bool),
-                           fixed_point_residual_max=np.zeros(count))
-    # the last two iterates of u and t; both start at the initial point, which
-    # makes the two-iteration window equal the one-iteration one at k = 1
-    u_hist, t_hist = np.array((u, u)), np.array((t, t))
+                           fixed_point_residual_max=np.empty(count))
     rows = np.arange(count)         # output row of each working row
     fp2_max = np.zeros(count)      # squared fixed-point residual
 
-    def finish(sel, k, still=None):
-        idx = rows[sel]
-        out.u[idx], out.t[idx], out.w[idx] = u_hist[0, sel], t_hist[0, sel], w[sel]
-        out.fixed_point_residual_max[idx] = np.sqrt(fp2_max[sel])
-        if still is not None:
-            out.iterations[idx] = k
-            out.converged[idx] = True
-            out.limit_cycle[idx] = ~still[0, sel]
+    for start in range(1, config.max_iterations + 1, block):
+        size = min(block, config.max_iterations + 1 - start)
+        live = len(rows)
+        u_b, t_b = u_buf[:size + 2, :live], t_buf[:size + 2, :live]
+        phi_b, prod_b = phi_buf[:size, :live], prod_buf[:size, :live]
+        for j in range(size):
+            k = start + j
+            flip = (k + 1) % 2           # w_k = -w_1 at even k
+            if eps > 0 and k == 1:
+                w1 = _degenerate_w(count, instance)
+                g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
+                w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
+                shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))
+                r = k_phi + (h_w1 - slots.ds)     # w_0 = 0
+            else:
+                r = k_phi + shift_pm[flip]
+            z = _t_step(slots, r, t_b[j + 1], z, out=t_b[j + 2])[1]
+            _phi_product(instance, slots, t_b[j + 2], phi_b[j], prod_b[j])
+            k_phi = prod_b[j, :, 2 * n:]
 
-    for k in range(1, config.max_iterations + 1):
-        flip = (k + 1) % 2           # w_k = -w_1 at even k
-        if eps > 0 and k == 1:
-            w1 = _degenerate_w(count, instance)
-            g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
-            w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
-            shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))
-            r = k_phi + (h_w1 - slots.ds)     # w_0 = 0
-        else:
-            r = k_phi + shift_pm[flip]
-        w = w_pm[flip]
-        t, z = _t_step(slots, r, t_hist[0], z)
-        u, y, phi_t, k_phi = _u_step(instance, slots, t, g_inv_w_pm[flip])
-        gu = u @ g_t
-        x = gu + w
-        fp2_max = np.maximum(fp2_max, _sq(x - y) / _sq(phi_t))   # Phi(t) != 0
-        if trace is not None:
-            pen = x @ h_t - phi_t
-            trace.append(_sq(x) + instance.beta * _sq(pen))
-
+        # the block's iterations k = start .. start + size - 1, stacked on
+        # the leading axis
+        flips = np.arange(start + 1, start + size + 1) % 2
+        w = w_pm[flips]
+        u = np.subtract(prod_b[:, :, n:2 * n], g_inv_w_pm[flips], out=u_b[2:])
+        t = t_b[2:]
+        x = u @ instance.g.T + w
+        fp2 = np.maximum.accumulate(_sq(x - prod_b[:, :, :n]) / _sq(phi_b))  # Phi(t) != 0
         # relative change of u and of t over the one- and two-iteration
-        # windows, squared: still[i, j] says window i of row j is within tol
-        still = ((_sq(u - u_hist) <= tol2 * _sq(u))
-                 & (_sq(t - t_hist) <= tol2 * (1.0 + _norms(t)) ** 2))
-        u_hist[1], u_hist[0] = u_hist[0], u
-        t_hist[1], t_hist[0] = t_hist[0], t
+        # windows, squared: still[i][j, l] says window i of row l is within
+        # tol at the block's iteration j
+        bound_u, bound_t = tol2 * _sq(u), tol2 * (1.0 + _norms(t)) ** 2
+        still = [(_sq(u - u_b[1 - i:size + 1 - i]) <= bound_u)
+                 & (_sq(t - t_b[1 - i:size + 1 - i]) <= bound_t) for i in (0, 1)]
         done = still[0] | still[1]
-        n_done = np.count_nonzero(done)
-        if n_done:
-            finish(done, k, still)
-            if n_done == len(done):
+        stops = done.any(axis=0)
+        first = np.where(stops, done.argmax(axis=0), size - 1)
+        if trace is not None:
+            last = size if not stops.all() else first.max() + 1
+            trace.append(_sq(x[:last]) + instance.beta * _sq(x[:last] @ h_t - phi_b[:last]))
+        sel = stops | (start + size > config.max_iterations)
+        if sel.any():
+            idx, at = rows[sel], first[sel]
+            out.u[idx], out.t[idx], out.w[idx] = u[at, sel], t[at, sel], w[at, sel]
+            out.fixed_point_residual_max[idx] = np.sqrt(np.maximum(fp2_max[sel], fp2[at, sel]))
+            out.iterations[idx] = start + at
+            out.converged[idx] = stops[sel]
+            out.limit_cycle[idx] = ~still[0][at, sel] & stops[sel]
+            if sel.all():
                 return out
-            keep = ~done
+            keep = ~sel
             rows, slots = rows[keep], slots.take(keep)
-            u_hist, t_hist = u_hist[:, keep], t_hist[:, keep]
-            w_pm, g_inv_w_pm = w_pm[:, keep], g_inv_w_pm[:, keep]
-            z, shift_pm, k_phi, fp2_max = z[keep], shift_pm[:, keep], k_phi[keep], fp2_max[keep]
-    finish(np.ones(len(rows), dtype=bool), config.max_iterations)
+            w_pm, g_inv_w_pm, shift_pm = w_pm[:, keep], g_inv_w_pm[:, keep], shift_pm[:, keep]
+            z, k_phi, fp2_max, fp2 = z[keep], k_phi[keep], fp2_max[keep], fp2[:, keep]
+            u_b, t_b = u_b[-2:, keep], t_b[-2:, keep]
+        u_buf[:2, :len(rows)], t_buf[:2, :len(rows)] = u_b[-2:], t_b[-2:]
+        fp2_max = np.maximum(fp2_max, fp2[-1])
     return out
 
 
@@ -558,12 +594,13 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
     This is :func:`solve_batch` with a batch of one, plus the per-iteration
     ``trace`` and the worst-case ``objective`` of the result.  The loop
-    terminates when the relative change of (u, t) over a one- or
-    two-iteration window drops below ``outer_tol``; the two-iteration window
-    is needed because the exact u-update makes the inner maximiser settle
-    into a sign-flipping two-cycle on the top eigenvector of P, which bounds
-    single-step changes away from zero (reported via ``limit_cycle``).
-    Non-convergence is reported, not raised.
+    stops at the first iteration where the relative change of (u, t) over a
+    one- or two-iteration window drops below ``outer_tol``; the test is
+    evaluated per iteration, once per block of iterations (:func:`_bcd`).
+    The two-iteration window is needed because the exact u-update makes the
+    inner maximiser settle into a sign-flipping two-cycle on the top
+    eigenvector of P, which bounds single-step changes away from zero
+    (reported via ``limit_cycle``).  Non-convergence is reported, not raised.
 
     ``objective`` is the worst-case value of the returned (u, t), in closed
     form: the last u-step left q = -P w, so (as in the loop's w-step) the
@@ -576,7 +613,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     return SolveReport(u=u, t=t, w=w,
                        objective=relaxed_objective(u, t, -w, instance),
                        iterations=int(res.iterations[0]),
-                       trace=np.concatenate(trace),
+                       trace=np.concatenate(trace)[:, 0],
                        converged=bool(res.converged[0]),
                        limit_cycle=bool(res.limit_cycle[0]),
                        fixed_point_residual_max=float(res.fixed_point_residual_max[0]))

@@ -112,7 +112,15 @@ def test_missing_beta_names_the_key(tmp_path, capsys):
     ("sweep", SWEEP_INI, "max_iterations = 1500", "max_iterations = 0"),
     ("solve", SOLVE_INI, "beta = 10.0", "beta = -1"),
     ("solve", SOLVE_INI, "seed = 2", "seed = 2\nsymbols = 0, 1, 9"),
-], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range"])
+    ("sweep", SWEEP_INI, "mi_bins = 8", "mi_bins = 1"),
+    ("sweep", SWEEP_INI, "gamma_db = 4, 12", "gamma_db = 4, nan"),
+    ("sweep", SWEEP_INI, "gamma_db = 4, 12", "gamma_db = inf, 12"),
+    ("sweep", SWEEP_INI, "seed = 5", "seed = -1"),
+    ("sweep", SWEEP_INI, "betas = 1, 10", "betas = 1, 0"),
+    ("sweep", SWEEP_INI, "betas = 1, 10", "betas = -1, 10"),
+], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range",
+        "one-mi-bin", "nan-gamma", "inf-gamma", "negative-seed", "zero-beta",
+        "negative-sweep-beta"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, ini, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(ini.replace(old, new))

@@ -442,8 +442,8 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     # would follow the rounding, which differs between batch sizes.
     proto, geoms = _batch_problem(0, 3, 12, 1e6, 0.56, cond=1e3)
     slots = solver_module._slots(geoms)
-    zeros = np.zeros((len(geoms), 6))
-    u0, _, phi0, _ = solver_module._u_step(proto, slots, zeros, zeros)
+    phi0, prod0 = solver_module._phi_product(proto, slots, np.zeros((len(geoms), 6)))
+    u0 = prod0[:, 6:12]             # G^{-1} y at w = 0
     rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
     assert 0 < np.sum(rounded_flat) < len(geoms)
     _assert_batch_equals_alone(proto, geoms, SolverConfig(max_iterations=30, outer_tol=1e-6))
@@ -595,18 +595,66 @@ def test_loop_residual_is_the_closed_form(n):
                 inst = random_instance(rng, n, beta=beta, eps=eps, random_g=random_g)
                 h, g, ds = inst.h, inst.g, inst.ds
                 w1 = solve(inst, SolverConfig(max_iterations=1)).w
-                k_phi0 = solver_module._u_step(inst, inst.slots, np.zeros((1, 2 * n)),
-                                               np.zeros((1, 2 * n)))[3][0]
+                k_phi0 = solver_module._phi_product(inst, inst.slots,
+                                                    np.zeros((1, 2 * n)))[1][0, 4 * n:]
                 u0 = update_u(np.zeros(2 * n), np.zeros(2 * n), inst)
                 check(k_phi0 - ds + h @ w1, h @ g @ u0, h @ w1, ds,
                       f"{beta} {eps} {random_g} start")
                 for k in (1, 2, 5):
                     rep = solve(inst, SolverConfig(max_iterations=k, outer_tol=1e-15))
                     w_next = -rep.w
-                    u, _, _, k_phi = solver_module._u_step(
-                        inst, inst.slots, rep.t[None], inst.solve_g(rep.w[None]))
-                    np.testing.assert_allclose(u[0], rep.u, rtol=1e-13, atol=0)
-                    check(k_phi[0] - ds + 2.0 * (h @ w_next), h @ (g @ rep.u),
+                    prod = solver_module._phi_product(inst, inst.slots, rep.t[None])[1][0]
+                    u = prod[2 * n:4 * n] - inst.solve_g(rep.w[None])[0]
+                    np.testing.assert_allclose(u, rep.u, rtol=1e-13, atol=0)
+                    check(prod[4 * n:] - ds + 2.0 * (h @ w_next), h @ (g @ rep.u),
                           h @ w_next, ds, f"{beta} {eps} {random_g} {k}")
                     checked += 1
     assert checked == 36
+
+
+def _every_iteration(monkeypatch, run):
+    """``run()`` with the stopping test evaluated after every iteration."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_BLOCK", 1)
+        return run()
+
+
+def test_block_stop_equals_the_every_iteration_stop_on_a_batch(monkeypatch):
+    # rows stop inside a block, on a block's last iteration, and on the
+    # budget's last iteration while other rows run out of it
+    block = solver_module._BLOCK
+    proto, geoms = _batch_problem(20, 4, 40, 1.0, 0.56)
+    cfg = SolverConfig(max_iterations=40, outer_tol=1e-6)
+    blocked = solve_batch(proto, geoms, cfg)
+    every = _every_iteration(monkeypatch, lambda: solve_batch(proto, geoms, cfg))
+    stops = blocked.iterations[blocked.converged]
+    assert np.any(stops % block != 0)
+    assert np.any((stops % block == 0) & (stops < 40))
+    assert np.any(stops == 40) and not np.all(blocked.converged)
+    for name in ("iterations", "converged", "limit_cycle"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(every, name))
+    for name in ("u", "t", "w", "fixed_point_residual_max"):
+        want = getattr(every, name)
+        np.testing.assert_allclose(getattr(blocked, name), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max(), err_msg=name)
+
+
+def test_block_stop_equals_the_every_iteration_stop_on_one_row(monkeypatch):
+    block = solver_module._BLOCK
+    rng = np.random.default_rng(18)
+    insts = [random_instance(rng, 4, beta=beta, eps=eps, order=order, random_g=True)
+             for beta in (1.0, 1e4) for eps in (0.0, 0.56) for order in (4, 8)]
+    outcomes = set()
+    for budget in (1, block - 1, block, block + 1):
+        for tol in (1e-2, 1e-6):
+            cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
+            for inst in insts:
+                blocked = solve(inst, cfg)
+                every = _every_iteration(monkeypatch, lambda: solve(inst, cfg))
+                assert blocked.trace.size == blocked.iterations
+                for name in ("iterations", "converged", "limit_cycle", "u", "t", "w",
+                             "fixed_point_residual_max", "objective", "trace"):
+                    np.testing.assert_array_equal(getattr(blocked, name),
+                                                  getattr(every, name), err_msg=name)
+                outcomes.add((blocked.converged, blocked.iterations == budget))
+    assert outcomes >= {(True, False), (False, True)}
