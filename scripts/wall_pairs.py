@@ -2,13 +2,14 @@
 """Paired wall times of the test suite in two checkouts of this repository.
 
     python3 scripts/wall_pairs.py --parent DIR --change DIR --pairs 3 \
-        --out BENCH_14.json
+        --out BENCH_15.json
 
-Times, per side and pair, three pytest runs in a fresh interpreter that
-imports the program from its own checkout: all of tier-1, criterion 4's test
-alone and the criterion-8 tests alone (their sweep fixture included).  The
+Times, per side and pair, five runs in a fresh interpreter that imports the
+program from its own checkout: three pytest runs (all of tier-1, criterion
+4's test alone and the criterion-8 tests alone, their sweep fixture
+included) and the criterion-8 sweep itself at ``parallel`` 1 and 2.  The
 sides alternate which runs first, target by target.  Each run's wall
-seconds, exit code and pytest summary line are recorded, with each side's
+seconds, exit code and last line of output are recorded, with each side's
 median and quartiles and the number of pairs the change was faster.  The
 result is stored under the ``wall`` key of the ``--out`` file, which must be
 named; the other entries already there are kept.  A failing test does not
@@ -34,10 +35,26 @@ TARGETS = {
     "criterion_4": PYTEST + ["tests/test_acceptance.py::test_criterion_4_baseline_consistency"],
     "criterion_8": PYTEST + ["tests/test_acceptance.py", "-k", "criterion_8"],
 }
+# the criterion-8 sweep of tests/test_acceptance.py's trend fixture, whose
+# pool size there is min(8, cores)
+CRITERION_8 = """\
+from wcslp.simulator import DistortionSpec, SweepConfig, run_sweep
+from wcslp.solver import SolverConfig
+records = run_sweep(SweepConfig(
+    n_t=8, n_r=8, gamma_db_grid=(4.0, 8.0, 12.0, 16.0), beta_grid=(1.0, 100.0, 1e4),
+    blocks=50, symbols_per_block=100, seed=20260809,
+    schemes=("wc-slp", "nominal-under-distortion"), mi_bins=16, parallel={parallel},
+    distortion=DistortionSpec(sigma_w_sq=0.02, epsilon=0.56),
+    solver=SolverConfig(max_iterations=4000, outer_tol=1e-3)))
+print(len(records), "records,", sum(r.solver_failures for r in records), "solver failures")
+"""
+TARGETS.update({f"criterion_8_parallel_{parallel}":
+                [sys.executable, "-c", CRITERION_8.format(parallel=parallel)]
+                for parallel in (1, 2)})
 
 
 def run_once(checkout: Path, cmd: list[str]) -> dict:
-    """One timed pytest run with the checkout's ``src`` on the path."""
+    """One timed run with the checkout's ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

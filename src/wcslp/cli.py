@@ -165,10 +165,13 @@ def _sweep_config(data: dict, path: str, args) -> SweepConfig:
         base["confidence"] = sec.pop("confidence")
     if "epsilon" in sec:
         base["epsilon"] = sec.pop("epsilon")
-    if "epsilon" not in base:
-        base["epsilon"] = calibrate_epsilon(base["confidence"],
-                                            base["sigma_w_sq"], n_t)
-    distortion = DistortionSpec(**base)
+    try:
+        if "epsilon" not in base:
+            base["epsilon"] = calibrate_epsilon(base["confidence"],
+                                                base["sigma_w_sq"], n_t)
+        distortion = DistortionSpec(**base)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
 
     kwargs = dict(n_t=n_t, n_r=n_r, distortion=distortion)
     if "solver" in data:

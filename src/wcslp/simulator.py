@@ -65,10 +65,10 @@ class DistortionSpec:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.sigma_w_sq < 0:
-            raise ValueError("variance must be non-negative")
-        if self.epsilon < 0:
-            raise ValueError("radius must be non-negative")
+        if not 0.0 <= self.sigma_w_sq < math.inf:
+            raise ValueError(f"variance must be non-negative and finite, got {self.sigma_w_sq}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"radius must be non-negative and finite, got {self.epsilon}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
 
@@ -102,12 +102,12 @@ class SweepConfig:
             raise ValueError("number of users is limited by n_t (n_r <= n_t)")
         if self.blocks < 1 or self.symbols_per_block < 1:
             raise ValueError("blocks and symbols_per_block must be positive")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
+        if not 0.0 < self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be positive and finite, got {self.noise_sigma}")
         if not all(math.isfinite(g) for g in self.gamma_db_grid):
             raise ValueError(f"gamma_db entries must be finite, got {self.gamma_db_grid}")
-        if not all(b > 0 for b in self.beta_grid):
-            raise ValueError(f"betas must be positive, got {self.beta_grid}")
+        if not all(0.0 < b < math.inf for b in self.beta_grid):
+            raise ValueError(f"betas must be positive and finite, got {self.beta_grid}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.mi_bins < 2:
@@ -156,8 +156,8 @@ def calibrate_epsilon(confidence: float, sigma_w_sq: float, n_t: int) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if sigma_w_sq < 0:
-        raise ValueError("variance must be non-negative")
+    if not 0.0 <= sigma_w_sq < math.inf:
+        raise ValueError(f"variance must be non-negative and finite, got {sigma_w_sq}")
     if sigma_w_sq == 0.0:
         return 0.0
     return math.sqrt(0.5 * sigma_w_sq * chi2.ppf(confidence, df=2 * n_t))

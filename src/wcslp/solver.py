@@ -27,12 +27,15 @@ One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
 on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
 ``apgd_t_step`` and ``update_u`` evaluate its steps on a single row at any
-(u, t).  The loop reads everything it needs of Phi(t) from one product with
-the operators :class:`ProblemInstance` builds once per instance, and its slack
-step takes the residual H (G u + w) - D s in closed form from that product
-(see :func:`_bcd`).  The CI matrices are block diagonal with 2x2 blocks; each
-block acts on its interleaved pair z = v_0 + i v_1 as alpha z + beta conj(z)
-with two complex coefficients (:func:`_bmul`).
+(u, t).  Between two iterations only the slack t changes, so the slack step
+is one affine map per slot of the last two slack iterates, whose matrices and
+constants the loop builds once; Phi(t), u and the loop's one product with the
+operators :class:`ProblemInstance` builds once per instance are evaluated
+once per block of iterations (see :func:`_bcd`).  The CI matrices are block
+diagonal with 2x2 blocks; each block acts on its interleaved pair
+z = v_0 + i v_1 as alpha z + beta conj(z) with two complex coefficients
+(:func:`_bmul`), and the affine map's matrices are those block products
+applied to the identity.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
+        if not 0.0 < self.outer_tol < math.inf:
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
 
 
 @dataclass
@@ -208,10 +211,11 @@ class ProblemInstance:
     g: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("penalty beta must be positive")
-        if self.epsilon < 0:
-            raise ValueError("distortion radius must be non-negative")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"penalty beta must be positive and finite, got {self.beta}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"distortion radius must be non-negative and finite, "
+                             f"got {self.epsilon}")
         if self.channel.n_t != self.distortion.n_t:
             raise ValueError("channel / distortion dimension mismatch")
         if self.geometry.n_r != self.channel.n_r:
@@ -328,20 +332,37 @@ def _degenerate_w(count: int, instance: ProblemInstance) -> np.ndarray:
     return np.tile(instance.epsilon * instance.evecs[:, -1], (count, 1))
 
 
-def _t_step(slots: _Slots, r, t, z, out=None):
+def _t_step(slots: _Slots, r, t, z):
     """Accelerated projected-gradient step on the slack, given the residual
-    r = H (G u + w) - D s; the new t is written to ``out`` if given."""
-    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0, out=out)
+    r = H (G u + w) - D s."""
+    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
     return t_new, t_new + slots.momentum * (t_new - t)
 
 
-def _phi_product(instance, slots: _Slots, t, phi_out=None, prod_out=None):
+def _phi_product(instance, slots: _Slots, t):
     """Phi(t) = D s + A^{-1} t and its product with the instance's operators,
     [y | G^{-1} y | K Phi(t)] with y = P^{-1} H^T Phi(t): the u-step's
-    u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y.  The
-    results are written to ``phi_out`` and ``prod_out`` if given."""
-    phi_t = np.add(_bmul(slots.a_inv, t), slots.ds, out=phi_out)
-    return phi_t, np.matmul(phi_t, instance.phi_ops, out=prod_out)
+    u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y.  ``t``
+    may stack iterates on a leading axis."""
+    phi_t = np.add(_bmul(slots.a_inv, t), slots.ds)
+    return phi_t, phi_t @ instance.phi_ops
+
+
+def _recurrence_maps(instance, slots: _Slots):
+    """Per-row matrices (M1, M2) of the slack recurrence (see :func:`_bcd`),
+    transposed to act on row vectors: M1 = (1 + momentum) B + S K A^{-1} and
+    M2 = -momentum B, or None when the momentum is 0.  Each is its block
+    products applied to the identity, whose basis vectors are stacked on a
+    leading axis; so column i of every row's matrix comes out in entry i."""
+    count, m = slots.ds.shape
+    eye = np.ascontiguousarray(np.broadcast_to(np.eye(m)[:, None], (m, count, m)))
+    b_cols = _bmul(slots.b, eye)
+    k_cols = _bmul(slots.a_inv, eye) @ instance.phi_ops[:, 2 * len(instance.g):]
+
+    def row_form(cols):
+        return np.ascontiguousarray(cols.transpose(1, 0, 2))
+    m1 = row_form(_bmul(slots.step, k_cols) + (1.0 + slots.momentum) * b_cols)
+    return m1, row_form(-slots.momentum * b_cols) if slots.momentum else None
 
 
 # -- single-design views of the steps ---------------------------------------
@@ -479,47 +500,66 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     sign-flipping two-cycle that :func:`solve` reports as ``limit_cycle``.
 
     The u-step is one product with the instance's operators
-    (:func:`_phi_product`): u_k = G^{-1} y_k - G^{-1} w_k with
+    (:func:`_phi_product`), u_k = G^{-1} y_k - G^{-1} w_k with
     y_k = P^{-1} H^T Phi(t_k), where G^{-1} w_1 is solved once per row and
     then only flips sign.
 
     The t-step's residual is in closed form too.  Step k needs
-    H (G u_{k-1} + w_k) - D s, and the u-step left G u_{k-1} + w_{k-1} =
+    r_k = H (G u_{k-1} + w_k) - D s, and the u-step left G u_{k-1} + w_{k-1} =
     y_{k-1}, so it equals K Phi(t_{k-1}) - D s + H (w_k - w_{k-1}) with
     K = H P^{-1} H^T: K Phi(t_0) - D s + H w_1 at k = 1 (w_0 = 0), and
     K Phi(t_{k-1}) - D s + 2 H w_k from k = 2 on (w_{k-1} = -w_k).  H w_1 is
     computed once per row; at eps = 0 the residual is K Phi - D s.
 
-    So the recurrence needs only t, z, the sign of w and the product.  It
-    runs ``_BLOCK`` iterations at a time, storing t_k, Phi(t_k) and the
-    product per iteration in buffers reused across blocks.  At the end of a
-    block, u_k, the fixed-point residual G u + w - y, the stopping test and
-    the trace are evaluated for all its iterations at once, with the same
-    expressions as one iteration at a time; each row takes the first
-    iteration whose test passed, and the rows that stopped leave the
-    working arrays at the block's end.  Their extra iterations touch no other
-    row, so each row runs as if alone, up to the rounding of the product,
-    which depends on how many rows share it.  No block runs past
-    ``max_iterations``.
+    So the slack step is affine in the last two slack iterates.  With the
+    momentum iterate z_{k-1} = t_{k-1} + mom (t_{k-1} - t_{k-2}), the step
+    blocks S = sigma_min^2 A^{-T} and B = I - S A^{-1}, its input
+    B z_{k-1} + S r_k is
+
+        M1 t_{k-1} + M2 t_{k-2} + c_k,  M1 = (1 + mom) B + S K A^{-1},
+        M2 = -mom B,  c_k = S (K D s - D s + 2 H w_k),
+
+    and at k = 1, where t_0 = z_0 = 0, it is c_1 = S (K D s - D s + H w_1).
+    M1 and M2 (:func:`_recurrence_maps`; M2 is skipped at zero momentum, as
+    for QPSK) and the constants are built once per call, and the rows that
+    stop leave them with the other working arrays.  An iteration is one
+    small matmul per row (two with momentum), the constant and the
+    projection on t >= 0.
+
+    The recurrence runs ``_BLOCK`` iterations at a time, storing t_k in a
+    buffer reused across blocks.  At the end of a block, Phi(t_k) and its
+    product with the operators (one stacked :func:`_phi_product`), u_k, the
+    fixed-point residual G u + w - y, the stopping test and the trace are
+    evaluated for all its iterations at once, with the same expressions as
+    one iteration at a time; each row takes the first iteration whose test
+    passed, and the rows that stopped leave the working arrays at the
+    block's end.  Their extra iterations touch no other row, so each row
+    runs as if alone, up to the rounding of the products, which depends on
+    how many rows share them.  No block runs past ``max_iterations``.
     """
     count, m = slots.ds.shape
     n = len(instance.g)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
     h_t = instance.h.T
-    # w_k, G^{-1} w_k and the residual's -D s + 2 H w_k at odd and even k, on
-    # a leading axis indexed by flip: w_k = +-w_1 alternates with k
-    w_pm = g_inv_w_pm = np.zeros((2, count, n))
-    shift_pm = np.array((-slots.ds, -slots.ds))
     # per block of iterations: u and t after the two iterates before it
     # (both the initial point in the first block, which makes the
-    # two-iteration window equal the one-iteration one at k = 1), Phi(t) and
-    # the product
+    # two-iteration window equal the one-iteration one at k = 1)
     block = min(_BLOCK, config.max_iterations)
     u_buf, t_buf = np.empty((block + 2, count, n)), np.zeros((block + 2, count, m))
-    phi_buf, prod_buf = np.empty((block, count, m)), np.empty((block, count, 2 * n + m))
     prod = _phi_product(instance, slots, t_buf[0])[1]
     u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
-    z = np.zeros((count, m))
+    # w_k, G^{-1} w_k and the constants c on a leading axis indexed by flip:
+    # w_k = +-w_1 alternates with k
+    w_pm = g_inv_w_pm = np.zeros((2, count, n))
+    h_w1 = np.zeros((count, m))
+    if eps > 0:
+        w1 = _degenerate_w(count, instance)
+        g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
+        w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
+    c_first = _bmul(slots.step, k_phi + (h_w1 - slots.ds))      # w_0 = 0
+    c_pm = _bmul(slots.step, k_phi + np.array((2.0 * h_w1 - slots.ds,
+                                               -2.0 * h_w1 - slots.ds)))
+    m1, m2 = _recurrence_maps(instance, slots)
     out = BatchSolveResult(u=np.empty((count, n)), t=np.empty((count, m)),
                            w=np.empty((count, n)),
                            iterations=np.zeros(count, dtype=int),
@@ -533,21 +573,15 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
         size = min(block, config.max_iterations + 1 - start)
         live = len(rows)
         u_b, t_b = u_buf[:size + 2, :live], t_buf[:size + 2, :live]
-        phi_b, prod_b = phi_buf[:size, :live], prod_buf[:size, :live]
+        pre, pre2 = np.empty((2, live, 1, m))
         for j in range(size):
             k = start + j
-            flip = (k + 1) % 2           # w_k = -w_1 at even k
-            if eps > 0 and k == 1:
-                w1 = _degenerate_w(count, instance)
-                g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
-                w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
-                shift_pm = np.array((2.0 * h_w1 - slots.ds, -2.0 * h_w1 - slots.ds))
-                r = k_phi + (h_w1 - slots.ds)     # w_0 = 0
-            else:
-                r = k_phi + shift_pm[flip]
-            z = _t_step(slots, r, t_b[j + 1], z, out=t_b[j + 2])[1]
-            _phi_product(instance, slots, t_b[j + 2], phi_b[j], prod_b[j])
-            k_phi = prod_b[j, :, 2 * n:]
+            np.matmul(t_b[j + 1][:, None], m1, out=pre)
+            if m2 is not None:
+                pre += np.matmul(t_b[j][:, None], m2, out=pre2)
+            pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]   # w_k = -w_1 at even k
+            np.maximum(pre[:, 0], 0.0, out=t_b[j + 2])
+        phi_b, prod_b = _phi_product(instance, slots, t_b[2:])
 
         # the block's iterations k = start .. start + size - 1, stacked on
         # the leading axis
@@ -581,8 +615,9 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                 return out
             keep = ~sel
             rows, slots = rows[keep], slots.take(keep)
-            w_pm, g_inv_w_pm, shift_pm = w_pm[:, keep], g_inv_w_pm[:, keep], shift_pm[:, keep]
-            z, k_phi, fp2_max, fp2 = z[keep], k_phi[keep], fp2_max[keep], fp2[:, keep]
+            w_pm, g_inv_w_pm, c_pm = w_pm[:, keep], g_inv_w_pm[:, keep], c_pm[:, keep]
+            m1, m2 = m1[keep], None if m2 is None else m2[keep]
+            fp2_max, fp2 = fp2_max[keep], fp2[:, keep]
             u_b, t_b = u_b[-2:, keep], t_b[-2:, keep]
         u_buf[:2, :len(rows)], t_buf[:2, :len(rows)] = u_b[-2:], t_b[-2:]
         fp2_max = np.maximum(fp2_max, fp2[-1])

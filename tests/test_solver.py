@@ -658,3 +658,58 @@ def test_block_stop_equals_the_every_iteration_stop_on_one_row(monkeypatch):
                                                   getattr(every, name), err_msg=name)
                 outcomes.add((blocked.converged, blocked.iterations == budget))
     assert outcomes >= {(True, False), (False, True)}
+
+
+def _reference_loop(inst, cfg):
+    """The loop one iteration at a time from the public one-row steps: the
+    closed-form w-step (w_1 = +eps v_top, then w -> -w), ``apgd_t_step`` with
+    its residual taken directly from (u, w), ``update_u``, and the stopping
+    test on the one- and two-iteration windows.  Returns
+    (u, t, w, iterations, converged, limit_cycle)."""
+    tol2 = cfg.outer_tol ** 2
+    t = z = np.zeros(2 * inst.channel.n_r)
+    w = np.zeros(2 * inst.channel.n_t)
+    u = update_u(t, w, inst)
+    before = [(u, t), (u, t)]       # the iterates two and one steps back
+    for k in range(1, cfg.max_iterations + 1):
+        if inst.epsilon > 0:
+            w = inst.epsilon * inst.evecs[:, -1] if k == 1 else -w
+        t, z = apgd_t_step(SolverState(u, t, z, w), inst)
+        u = update_u(t, w, inst)
+        still = [float((u - pu) @ (u - pu)) <= tol2 * float(u @ u)
+                 and float((t - pt) @ (t - pt)) <= tol2 * (1.0 + np.linalg.norm(t)) ** 2
+                 for pu, pt in (before[1], before[0])]
+        if any(still):
+            return u, t, w, k, True, not still[0]
+        before = [before[1], (u, t)]
+    return u, t, w, cfg.max_iterations, False, False
+
+
+def test_loop_equals_the_reference_loop():
+    # the affine slack recurrence of _bcd (M1, M2 and the constants built
+    # once) against the loop run step by step; QPSK has no momentum (no M2),
+    # 8-PSK has, and eps > 0 makes the first step's constant differ from the
+    # later ones
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for order in (4, 8):
+        for eps in (0.0, 0.56):
+            for beta in (1.0, 100.0):
+                for random_g in (False, True):
+                    inst = random_instance(rng, 4, beta=beta, eps=eps, order=order,
+                                           random_g=random_g)
+                    for budget in (1, 2, 16, 17):
+                        for tol in (1e-2, 1e-8):
+                            cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
+                            rep = solve(inst, cfg)
+                            u, t, w, iterations, converged, limit_cycle = \
+                                _reference_loop(inst, cfg)
+                            what = f"{order} {eps} {beta} {random_g} {budget} {tol}"
+                            assert (rep.iterations, rep.converged, rep.limit_cycle) == \
+                                (iterations, converged, limit_cycle), what
+                            for got, want in ((rep.u, u), (rep.t, t), (rep.w, w)):
+                                np.testing.assert_allclose(
+                                    got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                    err_msg=what)
+                            outcomes.add((converged, limit_cycle))
+    assert outcomes == {(False, False), (True, False), (True, True)}
