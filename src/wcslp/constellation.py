@@ -47,6 +47,8 @@ class PskConstellation:
         self.order = int(self.order)
         if self.phase_offset is None:
             self.phase_offset = math.pi / self.order
+        if not math.isfinite(self.phase_offset):
+            raise ValueError(f"phase offset must be finite, got {self.phase_offset}")
         angles = self.phase_offset + 2.0 * np.pi * np.arange(self.order) / self.order
         self.points = np.exp(1j * angles)
         self.points_real = np.stack([self.points.real, self.points.imag], axis=1)

@@ -104,6 +104,8 @@ class SweepConfig:
             raise ValueError("blocks and symbols_per_block must be positive")
         if not 0.0 < self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be positive and finite, got {self.noise_sigma}")
+        if not all(math.isfinite(v) for v in (self.noise_draw_scale, self.phase_offset or 0.0)):
+            raise ValueError("noise_draw_scale and phase_offset must be finite")
         if not all(math.isfinite(g) for g in self.gamma_db_grid):
             raise ValueError(f"gamma_db entries must be finite, got {self.gamma_db_grid}")
         if not all(0.0 < b < math.inf for b in self.beta_grid):

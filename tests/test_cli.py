@@ -124,10 +124,14 @@ def test_missing_beta_names_the_key(tmp_path, capsys):
     ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nnoise_sigma = nan"),
     ("sweep", SWEEP_INI, "betas = 1, 10", "betas = 1, inf"),
     ("solve", SOLVE_INI, "beta = 10.0", "beta = inf"),
+    ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nconfidence = 2"),
+    ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nnoise_draw_scale = nan"),
+    ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nphase_offset = nan"),
 ], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range",
         "one-mi-bin", "nan-gamma", "inf-gamma", "negative-seed", "zero-beta",
         "negative-sweep-beta", "nan-outer-tol", "nan-sigma-w-sq", "inf-epsilon",
-        "nan-noise-sigma", "inf-sweep-beta", "inf-beta"])
+        "nan-noise-sigma", "inf-sweep-beta", "inf-beta", "confidence-2",
+        "nan-noise-draw-scale", "nan-phase-offset"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, ini, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(ini.replace(old, new))

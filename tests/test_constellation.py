@@ -35,6 +35,12 @@ def test_small_orders_rejected():
         PskConstellation(3)
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf])
+def test_non_finite_offset_rejected(offset):
+    with pytest.raises(ValueError, match="phase offset"):
+        PskConstellation(4, offset)
+
+
 def test_qpsk_normals_are_permuted_identity():
     a = ci_normals(0, QPSK)
     np.testing.assert_allclose(a, [[0, 1], [1, 0]], atol=1e-12)
