@@ -32,10 +32,11 @@ is one affine map per slot of the last two slack iterates, whose matrices and
 constants the loop builds once; Phi(t), u and the loop's one product with the
 operators :class:`ProblemInstance` builds once per instance are evaluated
 once per block of iterations (see :func:`_bcd`).  The CI matrices are block
-diagonal with 2x2 blocks; each block acts on its interleaved pair
-z = v_0 + i v_1 as alpha z + beta conj(z) with two complex coefficients
-(:func:`_bmul`), and the affine map's matrices are those block products
-applied to the identity.
+diagonal with 2x2 blocks, each kept as the two complex coefficients of its
+action alpha z + beta conj(z) on the interleaved pair z = v_0 + i v_1
+(:func:`_bmul`).  The loop applies them to the identity once per call, to
+build the affine map's matrices, and to the stacked slack iterates at the
+end of each block, for Phi(t).
 """
 
 from __future__ import annotations
