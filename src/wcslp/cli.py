@@ -298,6 +298,7 @@ def cmd_solve(args) -> int:
         "config": effective,
         "converged": bool(report.converged),
         "limit_cycle": bool(report.limit_cycle),
+        "stop_reason": report.stop_reason,
         "iterations": int(report.iterations),
         "objective": float(report.objective),
         "fixed_point_residual_max": float(report.fixed_point_residual_max),

@@ -31,7 +31,11 @@ on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
 is one affine map per slot of the last two slack iterates, whose matrices and
 constants the loop builds once; Phi(t), u and the loop's one product with the
 operators :class:`ProblemInstance` builds once per instance are evaluated
-once per block of iterations (see :func:`_bcd`).  The CI matrices are block
+once per block of iterations (see :func:`_bcd`).  Once the map's projection
+on t >= 0 keeps its active set over a block, the map is linear, and the
+following blocks of a batch of few rows run as one product with
+precomputed multi-step operators, checked against the projection's signs
+(:func:`_block_operators`, :func:`_fast_forward`).  The CI matrices are block
 diagonal with 2x2 blocks, each kept as the two complex coefficients of its
 action alpha z + beta conj(z) on the interleaved pair z = v_0 + i v_1
 (:func:`_bmul`).  The loop applies them to the identity once per call, to
@@ -42,6 +46,7 @@ end of each block, for Phi(t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +82,11 @@ class SolverConfig:
     outer_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        its = self.max_iterations
+        if isinstance(its, (bool, np.bool_)) or not (
+                isinstance(its, numbers.Integral) or isinstance(its, float) and its.is_integer()):
+            raise ValueError(f"max_iterations must be an integer, got {its!r}")
+        self.max_iterations = int(its)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.outer_tol < math.inf:
@@ -114,6 +124,19 @@ class SolveReport:
     converged: bool
     limit_cycle: bool = False
     fixed_point_residual_max: float = 0.0
+
+    @property
+    def stop_reason(self) -> str:
+        """``tolerance``, ``two_cycle`` or ``budget`` (see :func:`_stop_reason`)."""
+        return str(_stop_reason(self.converged, self.limit_cycle))
+
+
+def _stop_reason(converged, limit_cycle) -> np.ndarray:
+    """Why the loop stopped: ``tolerance`` when the one-iteration window
+    passed the test, ``two_cycle`` when only the two-iteration window did
+    (``limit_cycle``), and ``budget`` when neither did within
+    ``max_iterations``."""
+    return np.where(converged, np.where(limit_cycle, "two_cycle", "tolerance"), "budget")
 
 
 def _momentum(constellation: PskConstellation) -> float:
@@ -198,7 +221,8 @@ class ProblemInstance:
     - the LU factors of G;
     - ``phi_ops`` = [Y^T | (G^{-1} Y)^T | K^T], with Y = P^{-1} H^T and
       K = H P^{-1} H^T = H Y, so that one product Phi @ phi_ops of stacked
-      rows Phi(t) gives y = Y Phi(t), G^{-1} y and K Phi(t) at once;
+      rows Phi(t) gives y = Y Phi(t), G^{-1} y and K Phi(t) at once, and
+      its first two column blocks ``u_ops``, all the loop's block ends read;
     - the slack-step constants of its own slot (``slots``).
     Treat instances as immutable and share them freely.
     """
@@ -232,8 +256,8 @@ class ProblemInstance:
         self.poles = self.evals + 1.0 / self.beta
         self.lam_bar_max = float(self.evals[-1] + 1.0 / self.beta)
         y_op = (self.evecs / self.poles) @ (self.evecs.T @ self.h.T)
-        self.phi_ops = np.hstack([y_op.T, lu_solve(self._g_lu, y_op).T,
-                                  (self.h @ y_op).T])
+        self.u_ops = np.hstack([y_op.T, lu_solve(self._g_lu, y_op).T])
+        self.phi_ops = np.hstack([self.u_ops, (self.h @ y_op).T])
         self.ds = self.geometry.ds
         self.slots = _slots([self.geometry])
 
@@ -340,13 +364,14 @@ def _t_step(slots: _Slots, r, t, z):
     return t_new, t_new + slots.momentum * (t_new - t)
 
 
-def _phi_product(instance, slots: _Slots, t):
+def _phi_product(instance, slots: _Slots, t, ops=None):
     """Phi(t) = D s + A^{-1} t and its product with the instance's operators,
     [y | G^{-1} y | K Phi(t)] with y = P^{-1} H^T Phi(t): the u-step's
-    u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y.  ``t``
-    may stack iterates on a leading axis."""
+    u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y; with
+    ``ops`` = ``instance.u_ops``, only [y | G^{-1} y].  ``t`` may stack
+    iterates on a leading axis."""
     phi_t = np.add(_bmul(slots.a_inv, t), slots.ds)
-    return phi_t, phi_t @ instance.phi_ops
+    return phi_t, phi_t @ (instance.phi_ops if ops is None else ops)
 
 
 def _recurrence_maps(instance, slots: _Slots):
@@ -364,6 +389,62 @@ def _recurrence_maps(instance, slots: _Slots):
         return np.ascontiguousarray(cols.transpose(1, 0, 2))
     m1 = row_form(_bmul(slots.step, k_cols) + (1.0 + slots.momentum) * b_cols)
     return m1, row_form(-slots.momentum * b_cols) if slots.momentum else None
+
+
+def _block_operators(m1, m2, c_pm, masks, steps: int) -> np.ndarray:
+    """Per-row operators of ``steps`` masked slack steps (see :func:`_bcd`),
+    the first at an odd iteration: the slack iterates of step j are the
+    state [t_{k-1}, t_{k-2}, 1] (without t_{k-2} when M2 is None) times
+    columns j m .. (j + 1) m - 1 of its row's operator.  Each step is the
+    augmented matrix T_p of its parity p, and the prefix products are
+    Q_{2i} = U^i T_0 and Q_{2i+1} = U^{i+1} with U = T_0 T_1, whose powers
+    come from repeated squaring of the stack [U, ..., U^l]."""
+    _, count, m = masks.shape
+    size = 2 * m + 1 if m2 is not None else m + 1
+    half = steps // 2
+    cols = masks[:, :, None, :]
+    step = np.zeros((2, count, size, size))
+    step[:, :, :m, :m] = m1 * cols
+    if m2 is not None:
+        step[:, :, m:2 * m, :m] = m2 * cols
+        step[:, :, :m, m:2 * m] = np.eye(m)
+    step[:, :, -1, :m] = c_pm * masks
+    step[:, :, -1, -1] = 1.0
+    powers = (step[0] @ step[1])[:, None]
+    while powers.shape[1] < half:
+        powers = np.concatenate((powers, powers @ powers[:, -1:]), axis=1)
+    first = np.ascontiguousarray(step[0, :, :, :m])
+    ops = np.empty((count, size, half, 2, m))
+    ops[:, :, 0, 0] = first
+    ops[:, :, 1:, 0] = (powers[:, :half - 1] @ first[:, None]).swapaxes(1, 2)
+    ops[:, :, :, 1] = powers[:, :half, :, :m].swapaxes(1, 2)
+    return ops.reshape(count, size, steps * m)
+
+
+def _fast_forward(ops, masks, m1, m2, c_pm, t_b) -> bool:
+    """Slack iterates t_b[2:] of a block from the two before it, t_b[:2],
+    by the block operators (:func:`_block_operators`), the block's first
+    iteration odd.  Returns whether every step's input had the sign of its
+    parity's mask; only then are t_b[2:] the block's projected iterates (see
+    :func:`_bcd`), else they are to be overwritten."""
+    size, count, m = t_b.shape
+    size -= 2
+    steps = ops.shape[-1] // m
+    state = np.ones((count, 1, ops.shape[1]))
+    for j in range(0, size, steps):
+        state[:, 0, :m] = t_b[j + 1]
+        if m2 is not None:
+            state[:, 0, m:2 * m] = t_b[j]
+        t_b[j + 2:j + 2 + steps] = (state @ ops).reshape(count, steps, m).swapaxes(0, 1)
+    pre = np.matmul(t_b[1:-1, :, None], m1)
+    if m2 is not None:
+        pre += np.matmul(t_b[:-2, :, None], m2)
+    pre = pre.reshape(size // 2, 2, count, m)
+    pre += c_pm
+    if not np.array_equal(pre > 0, np.broadcast_to(masks, pre.shape)):
+        return False
+    np.maximum(pre.reshape(size, count, m), 0.0, out=t_b[2:])
+    return True
 
 
 # -- single-design views of the steps ---------------------------------------
@@ -461,7 +542,7 @@ class BatchSolveResult:
     :func:`_bcd`).  ``w`` is that iteration's w-step maximiser, on the sphere
     ||w|| = eps (w = 0 at eps = 0); ``fixed_point_residual_max`` is the
     largest ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps up
-    to it.
+    to it.  ``stop_reason`` names the outcome in one word.
     """
 
     u: np.ndarray
@@ -472,9 +553,17 @@ class BatchSolveResult:
     limit_cycle: np.ndarray
     fixed_point_residual_max: np.ndarray
 
+    @property
+    def stop_reason(self) -> np.ndarray:
+        """Per row, ``tolerance``, ``two_cycle`` or ``budget``
+        (see :func:`_stop_reason`)."""
+        return _stop_reason(self.converged, self.limit_cycle)
+
 
 # iterations of the loop per evaluation of its stopping test (see _bcd)
 _BLOCK = 16
+# most live rows a fast-forwarded block may have (see _bcd)
+_FAST_FORWARD_ROWS = 8
 
 
 def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
@@ -527,16 +616,46 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     small matmul per row (two with momentum), the constant and the
     projection on t >= 0.
 
-    The recurrence runs ``_BLOCK`` iterations at a time, storing t_k in a
-    buffer reused across blocks.  At the end of a block, Phi(t_k) and its
-    product with the operators (one stacked :func:`_phi_product`), u_k, the
-    fixed-point residual G u + w - y, the stopping test and the trace are
+    The recurrence runs ``_BLOCK`` iterations at a time (more while the
+    fast-forward below serves), storing t_k in a buffer reused across
+    blocks.  At the end of a block, Phi(t_k) and its product with the
+    operators' u-columns (one stacked :func:`_phi_product` with ``u_ops``),
+    u_k, the fixed-point residual G u + w - y, the stopping test and the trace are
     evaluated for all its iterations at once, with the same expressions as
     one iteration at a time; each row takes the first iteration whose test
     passed, and the rows that stopped leave the working arrays at the
     block's end.  Their extra iterations touch no other row, so each row
     runs as if alone, up to the rounding of the products, which depends on
     how many rows share them.  No block runs past ``max_iterations``.
+
+    Once the projection's active set holds, a block is one product.  With
+    the masks D_0 and D_1 of the entries where t_k > 0 at odd and at even k,
+    the step is t_k = (M1 t_{k-1} + M2 t_{k-2} + c_k) D_p, linear in the
+    augmented row state s_k = [t_k, t_{k-1}, 1]: s_k = s_{k-1} T_p with
+
+        T_p = [[M1 D_p, I, 0], [M2 D_p, 0, 0], [c_p D_p, 0, 1]]
+
+    in row form (without the middle row and column at zero momentum).  A
+    block starts at an odd k, so its iterate j is the state before it
+    times Q_{2i} = U^i T_0 or Q_{2i+1} = U^{i+1}, with U = T_0 T_1.
+    :func:`_block_operators` builds, per row and once per pair of masks, the
+    t-columns of Q_0 .. Q_{_BLOCK - 1}, and :func:`_fast_forward` applies
+    them, one product per ``_BLOCK`` iterations.  It runs on a block when
+    every row's masks repeated with period two over the block before, which
+    ran step by step.  Its check is exact: the linear iterates are the
+    projected ones iff every step's input M1 t_{k-1} + M2 t_{k-2} + c_k is
+    positive where its mask is 1 and not positive where it is 0, since then
+    max(input, 0) = input D_p.  One stacked product recomputes all the
+    block's inputs from its fast-forwarded iterates; if every sign matches,
+    max(input, 0) are the block's iterates, those of the step-by-step loop
+    up to rounding, and else the block runs step by step.  While the
+    fast-forward serves, the block length doubles, up to 4 ``_BLOCK``; after
+    a block it did not serve, it is ``_BLOCK`` again.  The masks and
+    operators leave with the rows that stop.  The fast-forward saves numpy
+    calls, not arithmetic: per row, its product costs as many multiply-adds
+    as the steps it replaces, and building the operators at least as many
+    again.  So it runs only while the batch has at most
+    ``_FAST_FORWARD_ROWS`` live rows: one-row solves, and a batch's tail.
     """
     count, m = slots.ds.shape
     n = len(instance.g)
@@ -545,8 +664,8 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     # per block of iterations: u and t after the two iterates before it
     # (both the initial point in the first block, which makes the
     # two-iteration window equal the one-iteration one at k = 1)
-    block = min(_BLOCK, config.max_iterations)
-    u_buf, t_buf = np.empty((block + 2, count, n)), np.zeros((block + 2, count, m))
+    longest = min(4 * _BLOCK, config.max_iterations)
+    u_buf, t_buf = np.empty((longest + 2, count, n)), np.zeros((longest + 2, count, m))
     prod = _phi_product(instance, slots, t_buf[0])[1]
     u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
     # w_k, G^{-1} w_k and the constants c on a leading axis indexed by flip:
@@ -569,26 +688,41 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                            fixed_point_residual_max=np.empty(count))
     rows = np.arange(count)         # output row of each working row
     fp2_max = np.zeros(count)      # squared fixed-point residual
+    # the active sets (odd, even iteration) that held over the last block,
+    # and those of the block operators
+    masks = ops = ops_masks = None
+    start, block = 1, _BLOCK
 
-    for start in range(1, config.max_iterations + 1, block):
+    while True:
         size = min(block, config.max_iterations + 1 - start)
         live = len(rows)
         u_b, t_b = u_buf[:size + 2, :live], t_buf[:size + 2, :live]
-        pre, pre2 = np.empty((2, live, 1, m))
-        for j in range(size):
-            k = start + j
-            np.matmul(t_b[j + 1][:, None], m1, out=pre)
-            if m2 is not None:
-                pre += np.matmul(t_b[j][:, None], m2, out=pre2)
-            pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]   # w_k = -w_1 at even k
-            np.maximum(pre[:, 0], 0.0, out=t_b[j + 2])
-        phi_b, prod_b = _phi_product(instance, slots, t_b[2:])
+        served = masks is not None and size == block and live <= _FAST_FORWARD_ROWS
+        if served:
+            if ops is None or not np.array_equal(masks, ops_masks):
+                ops, ops_masks = _block_operators(m1, m2, c_pm, masks, _BLOCK), masks
+            served = _fast_forward(ops, masks, m1, m2, c_pm, t_b)
+        if not served:
+            pre, pre2 = np.empty((2, live, 1, m))
+            for j in range(size):
+                k = start + j
+                np.matmul(t_b[j + 1][:, None], m1, out=pre)
+                if m2 is not None:
+                    pre += np.matmul(t_b[j][:, None], m2, out=pre2)
+                pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]   # w_k = -w_1 at even k
+                np.maximum(pre[:, 0], 0.0, out=t_b[j + 2])
+            masks = None
+            if live <= _FAST_FORWARD_ROWS and size > 2 and size % 2 == 0:
+                active = t_b[2:] > 0
+                if np.array_equal(active[2:], active[:-2]):
+                    masks = active[-2:]
+        phi_b, prod_b = _phi_product(instance, slots, t_b[2:], instance.u_ops)
 
         # the block's iterations k = start .. start + size - 1, stacked on
         # the leading axis
         flips = np.arange(start + 1, start + size + 1) % 2
         w = w_pm[flips]
-        u = np.subtract(prod_b[:, :, n:2 * n], g_inv_w_pm[flips], out=u_b[2:])
+        u = np.subtract(prod_b[:, :, n:], g_inv_w_pm[flips], out=u_b[2:])
         t = t_b[2:]
         x = u @ instance.g.T + w
         fp2 = np.maximum.accumulate(_sq(x - prod_b[:, :, :n]) / _sq(phi_b))  # Phi(t) != 0
@@ -620,9 +754,15 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
             m1, m2 = m1[keep], None if m2 is None else m2[keep]
             fp2_max, fp2 = fp2_max[keep], fp2[:, keep]
             u_b, t_b = u_b[-2:, keep], t_b[-2:, keep]
+            if masks is not None:
+                masks = masks[:, keep]
+            if ops is not None:
+                ops, ops_masks = ops[keep], ops_masks[:, keep]
         u_buf[:2, :len(rows)], t_buf[:2, :len(rows)] = u_b[-2:], t_b[-2:]
         fp2_max = np.maximum(fp2_max, fp2[-1])
-    return out
+        start += size
+        # longer blocks while the fast-forward serves them
+        block = min(2 * block, 4 * _BLOCK) if served else _BLOCK
 
 
 def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> SolveReport:

@@ -220,3 +220,18 @@ def test_validate_runs_and_prints_seed(tmp_path, capsys):
     assert code == 0
     assert "seed = 0" in outtext
     assert outtext.count("PASS") == 5
+
+
+@pytest.mark.parametrize("reason, old, new", [
+    ("tolerance", "epsilon = 0.3", "epsilon = 0.0"),
+    ("two_cycle", "seed = 2", "seed = 2"),
+    ("budget", "seed = 2", "seed = 2\n\n[solver]\nmax_iterations = 3\nouter_tol = 1e-12"),
+])
+def test_solve_report_stop_reason(tmp_path, reason, old, new):
+    path = tmp_path / "s.ini"
+    path.write_text(SOLVE_INI.replace(old, new))
+    out = tmp_path / "r.json"
+    code = main(["solve", "--config", str(path), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["stop_reason"] == reason
+    assert code == (2 if reason == "budget" else 0)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -713,3 +714,122 @@ def test_loop_equals_the_reference_loop():
                                     err_msg=what)
                             outcomes.add((converged, limit_cycle))
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_max_iterations_must_be_an_integer():
+    assert SolverConfig(max_iterations=1000.0).max_iterations == 1000
+    assert type(SolverConfig(max_iterations=1000.0).max_iterations) is int
+    assert type(SolverConfig(max_iterations=np.int64(7)).max_iterations) is int
+    for bad in (2.5, True, False, math.nan, math.inf, "10"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=bad)
+
+
+@pytest.mark.parametrize("reason, eps, budget, tol", [
+    ("tolerance", 0.0, 2000, 1e-8), ("two_cycle", 0.56, 2000, 1e-8),
+    ("budget", 0.56, 3, 1e-12)])
+def test_stop_reason(reason, eps, budget, tol):
+    proto, geoms = _batch_problem(30, 3, 4, 1.0, eps)
+    cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
+    batch = solve_batch(proto, geoms, cfg)
+    np.testing.assert_array_equal(batch.stop_reason, reason)
+    report = solve(ProblemInstance(proto.channel, proto.distortion, geoms[0],
+                                   proto.beta, proto.epsilon), cfg)
+    assert report.stop_reason == reason
+    assert (report.converged, report.limit_cycle) == {
+        "tolerance": (True, False), "two_cycle": (True, True),
+        "budget": (False, False)}[reason]
+
+
+def _count_fast_forwards(monkeypatch):
+    """Lists that get, per fast-forward attempt of the loop, the number of
+    block ends evaluated before it (``_phi_product`` calls, counted in the
+    second list's entry) and whether the fast-forward served."""
+    attempts, ends = [], [0]
+    fast_forward, phi_product = solver_module._fast_forward, solver_module._phi_product
+
+    def counted_fast_forward(*args):
+        attempts.append((ends[0], fast_forward(*args)))
+        return attempts[-1][1]
+
+    def counted_phi_product(*args):
+        ends[0] += 1
+        return phi_product(*args)
+    monkeypatch.setattr(solver_module, "_fast_forward", counted_fast_forward)
+    monkeypatch.setattr(solver_module, "_phi_product", counted_phi_product)
+    return attempts, ends
+
+
+_RUN = ("u", "t", "w", "iterations", "converged", "limit_cycle")
+
+
+def _assert_same_run(got, want, what):
+    """Equal outcomes and w, and u and t within 1e-10 (t on the stopping
+    test's scale 1 + ||t||: at large beta t is a difference of far larger
+    terms)."""
+    assert (got.iterations, got.converged, got.limit_cycle) == \
+        (want.iterations, want.converged, want.limit_cycle), what
+    np.testing.assert_allclose(got.u, want.u, rtol=0, atol=1e-10 * np.abs(want.u).max(),
+                               err_msg=what)
+    np.testing.assert_allclose(got.t, want.t, rtol=0,
+                               atol=1e-10 * (1.0 + np.linalg.norm(want.t)), err_msg=what)
+    np.testing.assert_array_equal(got.w, want.w, err_msg=what)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_fast_forward_equals_the_reference_loop_on_long_budgets(monkeypatch, order):
+    # blocks whose active sets held run as one product with the block
+    # operators; QPSK's have no t_{k-2} part, 8-PSK's have
+    attempts = _count_fast_forwards(monkeypatch)[0]
+    rng = np.random.default_rng(22 + order)
+    outcomes = set()
+    for eps in (0.0, 0.56):
+        for beta in (1.0, 100.0, 1e4):
+            for random_g in (False, True):
+                inst = random_instance(rng, 4, beta=beta, eps=eps, order=order,
+                                       random_g=random_g)
+                for budget in (200, 2000):
+                    cfg = SolverConfig(max_iterations=budget, outer_tol=1e-8)
+                    want = SimpleNamespace(**dict(zip(_RUN, _reference_loop(inst, cfg))))
+                    report = solve(inst, cfg)
+                    _assert_same_run(report, want, f"{eps} {beta} {random_g} {budget}")
+                    outcomes.add(report.stop_reason)
+    served = sum(ok for _, ok in attempts)
+    assert served >= 100 and served < len(attempts)
+    assert outcomes == {"tolerance", "two_cycle", "budget"}
+
+
+def test_fast_forward_check_fails_when_the_active_set_changes(monkeypatch):
+    # a row settles, then its active set changes inside a fast-forwarded
+    # block: the check sees a step input of the wrong sign and the block
+    # runs step by step, to the same result as the plain loop
+    inst = random_instance(np.random.default_rng(1), 4, beta=100.0, eps=0.56)
+    cfg = SolverConfig(max_iterations=2000, outer_tol=1e-8)
+    plain = _every_iteration(monkeypatch, lambda: solve(inst, cfg))
+    attempts = _count_fast_forwards(monkeypatch)[0]
+    report = solve(inst, cfg)
+    served = [ok for _, ok in attempts]
+    assert not all(served) and sum(served) >= 10
+    _assert_same_run(report, plain, "fast-forward against every iteration")
+
+
+def test_batch_rows_settle_at_different_blocks(monkeypatch):
+    # the batch is fast-forwarded only once all its rows have settled; a row
+    # alone may be fast-forwarded earlier, and still solves as in the batch
+    proto, geoms = _batch_problem(34, 4, 6, 100.0, 0.56)
+    cfg = SolverConfig(max_iterations=2000, outer_tol=1e-8)
+    attempts, ends = _count_fast_forwards(monkeypatch)
+    batch = _assert_batch_equals_alone(proto, geoms, cfg)
+    first_served = set()
+    for j, geom in enumerate(geoms):
+        attempts.clear()
+        ends[0] = 0
+        alone = solve(ProblemInstance(proto.channel, proto.distortion, geom,
+                                      proto.beta, proto.epsilon), cfg)
+        first_served.add(min((end for end, ok in attempts if ok), default=None))
+        _assert_same_run(alone, SimpleNamespace(**{name: getattr(batch, name)[j]
+                                                   for name in _RUN}), f"row {j}")
+    assert len(first_served - {None}) > 1
+    attempts.clear()
+    solve_batch(proto, geoms, cfg)
+    assert sum(ok for _, ok in attempts) >= 10
