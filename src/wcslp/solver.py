@@ -83,8 +83,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         its = self.max_iterations
-        if isinstance(its, (bool, np.bool_)) or not (
-                isinstance(its, numbers.Integral) or isinstance(its, float) and its.is_integer()):
+        integral = isinstance(its, numbers.Integral) or (isinstance(its, float)
+                                                         and its.is_integer())
+        if isinstance(its, (bool, np.bool_)) or not integral:
             raise ValueError(f"max_iterations must be an integer, got {its!r}")
         self.max_iterations = int(its)
         if self.max_iterations < 1:
@@ -620,11 +621,11 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     fast-forward below serves), storing t_k in a buffer reused across
     blocks.  At the end of a block, Phi(t_k) and its product with the
     operators' u-columns (one stacked :func:`_phi_product` with ``u_ops``),
-    u_k, the fixed-point residual G u + w - y, the stopping test and the trace are
-    evaluated for all its iterations at once, with the same expressions as
-    one iteration at a time; each row takes the first iteration whose test
-    passed, and the rows that stopped leave the working arrays at the
-    block's end.  Their extra iterations touch no other row, so each row
+    u_k, the fixed-point residual G u + w - y, the stopping test and the
+    trace are evaluated for all its iterations at once, with the same
+    expressions as one iteration at a time; each row takes the first
+    iteration whose test passed, and the rows that stopped leave the
+    working arrays at the block's end.  Their extra iterations touch no other row, so each row
     runs as if alone, up to the rounding of the products, which depends on
     how many rows share them.  No block runs past ``max_iterations``.
 
@@ -648,14 +649,17 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     max(input, 0) = input D_p.  One stacked product recomputes all the
     block's inputs from its fast-forwarded iterates; if every sign matches,
     max(input, 0) are the block's iterates, those of the step-by-step loop
-    up to rounding, and else the block runs step by step.  While the
-    fast-forward serves, the block length doubles, up to 4 ``_BLOCK``; after
-    a block it did not serve, it is ``_BLOCK`` again.  The masks and
+    up to rounding, and else the block runs step by step.  The masks and
     operators leave with the rows that stop.  The fast-forward saves numpy
     calls, not arithmetic: per row, its product costs as many multiply-adds
     as the steps it replaces, and building the operators at least as many
     again.  So it runs only while the batch has at most
     ``_FAST_FORWARD_ROWS`` live rows: one-row solves, and a batch's tail.
+    While it serves, the block length doubles, up to 4 ``_BLOCK`` in a
+    batch that starts with at most ``_FAST_FORWARD_ROWS`` rows; a larger
+    batch keeps ``_BLOCK``, so that its buffers stay ``_BLOCK`` + 2 deep.
+    After a block the fast-forward did not serve, the length is ``_BLOCK``
+    again.
     """
     count, m = slots.ds.shape
     n = len(instance.g)
@@ -664,7 +668,9 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     # per block of iterations: u and t after the two iterates before it
     # (both the initial point in the first block, which makes the
     # two-iteration window equal the one-iteration one at k = 1)
-    longest = min(4 * _BLOCK, config.max_iterations)
+    # blocks grow past _BLOCK only in batches the fast-forward can serve
+    longest = min(4 * _BLOCK if count <= _FAST_FORWARD_ROWS else _BLOCK,
+                  config.max_iterations)
     u_buf, t_buf = np.empty((longest + 2, count, n)), np.zeros((longest + 2, count, m))
     prod = _phi_product(instance, slots, t_buf[0])[1]
     u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
@@ -709,7 +715,8 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                 np.matmul(t_b[j + 1][:, None], m1, out=pre)
                 if m2 is not None:
                     pre += np.matmul(t_b[j][:, None], m2, out=pre2)
-                pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]   # w_k = -w_1 at even k
+                # w_k = -w_1 at even k
+                pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]
                 np.maximum(pre[:, 0], 0.0, out=t_b[j + 2])
             masks = None
             if live <= _FAST_FORWARD_ROWS and size > 2 and size % 2 == 0:
@@ -762,7 +769,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
         fp2_max = np.maximum(fp2_max, fp2[-1])
         start += size
         # longer blocks while the fast-forward serves them
-        block = min(2 * block, 4 * _BLOCK) if served else _BLOCK
+        block = min(2 * block, longest) if served else _BLOCK
 
 
 def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> SolveReport:
