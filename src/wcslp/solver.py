@@ -428,8 +428,7 @@ def _fast_forward(ops, masks, m1, m2, c_pm, t_b) -> bool:
     iteration odd.  Returns whether every step's input had the sign of its
     parity's mask; only then are t_b[2:] the block's projected iterates (see
     :func:`_bcd`), else they are to be overwritten."""
-    size, count, m = t_b.shape
-    size -= 2
+    size, (count, m) = len(t_b) - 2, t_b.shape[1:]
     steps = ops.shape[-1] // m
     state = np.ones((count, 1, ops.shape[1]))
     for j in range(0, size, steps):
