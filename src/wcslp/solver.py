@@ -664,12 +664,12 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     n = len(instance.g)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
     h_t = instance.h.T
-    # per block of iterations: u and t after the two iterates before it
-    # (both the initial point in the first block, which makes the
-    # two-iteration window equal the one-iteration one at k = 1)
     # blocks grow past _BLOCK only in batches the fast-forward can serve
     longest = min(4 * _BLOCK if count <= _FAST_FORWARD_ROWS else _BLOCK,
                   config.max_iterations)
+    # per block of iterations: u and t after the two iterates before it
+    # (both the initial point in the first block, which makes the
+    # two-iteration window equal the one-iteration one at k = 1)
     u_buf, t_buf = np.empty((longest + 2, count, n)), np.zeros((longest + 2, count, m))
     prod = _phi_product(instance, slots, t_buf[0])[1]
     u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
