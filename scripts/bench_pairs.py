@@ -9,7 +9,8 @@ in the change checkout, pair after pair, alternating which side runs first;
 both sides of a pair get the same seed.  Each run is a fresh interpreter that
 imports the program from its own checkout.  The end-to-end metrics named in
 the change's ``BENCHMARK.json`` are recorded for every run, with each side's
-median and quartiles and the number of pairs the change won.  The result is
+median and quartiles and the number of pairs the change won; each side's
+commit comes with the line count of its ``src/wcslp``.  The result is
 stored under the workload's name in the ``--out`` file, which must be named;
 entries of other workloads already there are kept.
 """
@@ -28,14 +29,17 @@ SIDES = ("parent", "change")
 
 
 def commit_of(checkout: Path) -> dict:
-    """The checked-out commit and whether the tree differs from it."""
+    """The checked-out commit, whether the tree differs from it, and the
+    line count of the program, ``src/wcslp/*.py``, as ``wc -l`` counts it."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(checkout), *args],
                               capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain")
     return {"commit": git("rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+            "dirty": None if status is None else bool(status),
+            "src_lines": sum(path.read_bytes().count(b"\n")
+                             for path in (checkout / "src" / "wcslp").glob("*.py"))}
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:

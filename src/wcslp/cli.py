@@ -263,6 +263,8 @@ def cmd_solve(args) -> int:
     gamma_db = section.get("gamma_db", 10.0)
     noise_sigma = section.get("noise_sigma", 1.0)
     epsilon = section.get("epsilon", 0.56)
+    if n_t < 1 or n_r < 1:
+        raise ConfigError("n_t and n_r must be >= 1", args.config)
     if n_r > n_t:
         raise ConfigError("n_r must not exceed n_t", args.config)
 

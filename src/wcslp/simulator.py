@@ -98,6 +98,8 @@ class SweepConfig:
         default_factory=lambda: SolverConfig(max_iterations=4000, outer_tol=1e-3))
 
     def __post_init__(self) -> None:
+        if self.n_r < 1:
+            raise ValueError("n_r must be >= 1")
         if self.n_r > self.n_t:
             raise ValueError("number of users is limited by n_t (n_r <= n_t)")
         if self.blocks < 1 or self.symbols_per_block < 1:
@@ -106,6 +108,10 @@ class SweepConfig:
             raise ValueError(f"noise_sigma must be positive and finite, got {self.noise_sigma}")
         if not all(math.isfinite(v) for v in (self.noise_draw_scale, self.phase_offset or 0.0)):
             raise ValueError("noise_draw_scale and phase_offset must be finite")
+        for key, grid in (("gamma_db", self.gamma_db_grid), ("betas", self.beta_grid),
+                          ("schemes", self.schemes)):
+            if not grid:
+                raise ValueError(f"{key} must not be empty")
         if not all(math.isfinite(g) for g in self.gamma_db_grid):
             raise ValueError(f"gamma_db entries must be finite, got {self.gamma_db_grid}")
         if not all(0.0 < b < math.inf for b in self.beta_grid):

@@ -5,34 +5,24 @@ The relaxed design problem is
     min_{u, t >= 0}  max_{||w|| <= eps}  ||G u + w||^2
                      + beta * ||H (G u + w) - (D s + A^{-1} t)||^2
 
-solved by alternating three steps: the inner maximisation over w (exact, via
-the largest root of a secular equation), one accelerated projected-gradient
-step on the non-negative slack t, and a closed-form update of u.  The inner
-maximiser is w = -(P - mu I)^{-1} q with P = H^T H + (1/beta) I and
-q = P G u - H^T Phi(t); the multiplier mu is the largest root of
-
-    f(mu) = q^T (P - mu I)^{-2} q - eps^2,
-
-which lies in (lam_bar_max, ||q||/eps + lam_bar_max] where
-lam_bar_max = ||H||^2 + 1/beta (More and Sorensen's trust-region secular
-equation).
-
-No run path searches for that root: the exact u-update leaves q = -P w, so
-after the first w-step (from q = 0, the top eigenvector of P) the multiplier
-is 2 lam_bar_max and the maximiser is -w, both in the loop (see :func:`_bcd`)
-and at the design :func:`solve` returns.  ``solve_mu`` keeps one reference
-search, a Brent root finder on the analytic bracket, for the property checks.
+solved by alternating three steps: the inner maximisation over w, one
+accelerated projected-gradient step on the non-negative slack t, and a
+closed-form update of u.  The exact u-update leaves the inner maximiser in
+closed form, both in the loop (see :func:`_bcd`) and at the design
+:func:`solve` returns, so no run path searches for the root of its secular
+equation; that equation, its reference root search and one-design views of
+the three steps are kept in :mod:`wcslp.validation`, for the property
+checks.
 
 One loop, :func:`_bcd`, runs the iteration for a stack of symbol slots that
 share a channel; each step works on one row per slot.  :func:`solve` runs it
-on one slot, :func:`solve_batch` on many, and ``solve_mu``, ``worst_case_w``,
-``apgd_t_step`` and ``update_u`` evaluate its steps on a single row at any
-(u, t).  Between two iterations only the slack t changes, so the slack step
-is one affine map per slot of the last two slack iterates, whose matrices and
-constants the loop builds once; Phi(t), u and the loop's one product with the
-operators :class:`ProblemInstance` builds once per instance are evaluated
-once per block of iterations (see :func:`_bcd`).  Once the map's projection
-on t >= 0 keeps its active set over a block, the map is linear, and the
+on one slot, :func:`solve_batch` on many.  Between two iterations only the
+slack t changes, so the slack step is one affine map per slot of the last
+two slack iterates, whose matrices and constants the loop builds once;
+Phi(t), u and the loop's one product with the operators
+:class:`ProblemInstance` builds once per instance are evaluated once per
+block of iterations (see :func:`_bcd`).  Once the map's projection on
+t >= 0 keeps its active set over a block, the map is linear, and the
 following blocks of a batch of few rows run as one product with
 precomputed multi-step operators, checked against the projection's signs
 (:func:`_block_operators`, :func:`_fast_forward`).  The CI matrices are block
@@ -51,26 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq, nnls
+from scipy.optimize import nnls
 
 from .constellation import CiGeometry, PskConstellation
 from .realify import RealChannel, RealDistortionMatrix
-
-# relative size of q below which the inner maximisation is treated as the
-# degenerate (pure eigenvector) case
-_DEGENERATE_RTOL = 1e-13
-# relative inset of the root bracket's left end above the pole boundary
-_BRACKET_INSET = 1e-10
-# brentq's tightest relative tolerance
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-
-
-class SecularPoleError(ValueError):
-    """Evaluation of the secular function at (or within rounding of) a pole."""
-
-
-class RootSearchError(RuntimeError):
-    """No sign change of the secular function above the pole boundary."""
 
 
 @dataclass
@@ -92,16 +66,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.outer_tol < math.inf:
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
-
-
-@dataclass
-class SolverState:
-    """One design's iterates, as :func:`apgd_t_step` takes them."""
-
-    u: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
 
 
 @dataclass
@@ -268,10 +232,10 @@ class ProblemInstance:
 
 
 def phi(t, geometry: CiGeometry) -> np.ndarray:
-    """CI target vector D s + A^{-1} t for a non-negative slack t."""
+    """CI target vector D s + A^{-1} t for a finite, non-negative slack t."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("slack t must be componentwise non-negative")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError("slack t must be finite and componentwise non-negative")
     return geometry.ds + (geometry.a_inv_blocks @ t.reshape(-1, 2, 1)).ravel()
 
 
@@ -286,83 +250,13 @@ def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-# -- the three steps, on stacked rows (one row per symbol slot) -------------
-
-def _row(u, t, instance: ProblemInstance):
-    """(G u, Phi(t), Phi(t)^T H) of one design, as one-row arrays of the loop."""
-    t = np.ascontiguousarray(t, dtype=float)[None]
-    phi_t = instance.slots.ds + _bmul(instance.slots.a_inv, t)
-    return np.asarray(u, dtype=float)[None] @ instance.g.T, phi_t, phi_t @ instance.h
-
-
-def _w_parts(instance: ProblemInstance, gu, ht_phi):
-    """q in the eigenbasis of P, its squares, and the rows where q = 0."""
-    pgu = gu @ instance.hth.T + gu / instance.beta
-    qt = (pgu - ht_phi) @ instance.evecs
-    qt2 = qt * qt
-    # ||q|| <= rtol * max(1, ||P G u||, ||H^T Phi||), squared
-    scale2 = np.maximum(1.0, np.maximum(_sq(pgu), _sq(ht_phi)))
-    return qt, qt2, qt2.sum(axis=1) <= _DEGENERATE_RTOL ** 2 * scale2
-
-
-def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float) -> float:
-    """Largest secular root from precomputed eigen-parts.
-
-    f is strictly decreasing right of the poles and its largest root lies in
-    (lam, ||q||/eps + lam].  The search brackets it between
-    lo = lam (1 + inset) and that bound; when f(lo) <= 0 the root is squeezed
-    between the pole boundary and lo, and log-spaced gaps toward the pole
-    locate a point where f is positive.  One Brent search (``brentq``) at
-    its tightest relative tolerance finishes.
-    """
-    eps2 = eps * eps
-    qn = math.sqrt(float(qt2.sum()))
-    lo = lam * (1.0 + _BRACKET_INSET)
-    hi = qn / eps + lam
-
-    def f(mu):
-        diff = poles - mu
-        return float(qt2 @ (1.0 / (diff * diff))) - eps2
-
-    f_lo = f(lo)
-    if f_lo <= 0.0:
-        # Root squeezed between the pole boundary and the inset point: scan
-        # log-spaced gaps toward the pole until f turns positive.
-        gap = lo - lam
-        hi = lo
-        found = False
-        for _ in range(200):
-            gap *= 0.1
-            cand = lam + gap
-            if cand <= lam or gap < 4.0 * np.finfo(float).eps * lam:
-                break
-            if f(cand) > 0.0:
-                lo, found = cand, True
-                break
-            hi = cand
-        if not found:
-            raise RootSearchError(
-                "no sign change above the pole boundary: "
-                f"lam_bar_max={lam!r}, f at inset={f_lo!r}, ||q||={qn!r}, eps={eps!r}")
-    elif f(hi) >= 0.0:
-        # the bound is attained (q on the top eigenvector), up to rounding
-        return hi
-    # xtol is absolute; scaled by lam < mu it is relative too
-    return brentq(f, lo, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
-
+# -- the loop's steps, on stacked rows (one row per symbol slot) ------------
 
 def _degenerate_w(count: int, instance: ProblemInstance) -> np.ndarray:
     # q = 0 leaves only the quadratic term, whose maximisers are +-eps v_top
     # with v_top the top eigenvector of P; both signs give the same value, so
     # take +
     return np.tile(instance.epsilon * instance.evecs[:, -1], (count, 1))
-
-
-def _t_step(slots: _Slots, r, t, z):
-    """Accelerated projected-gradient step on the slack, given the residual
-    r = H (G u + w) - D s."""
-    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
-    return t_new, t_new + slots.momentum * (t_new - t)
 
 
 def _phi_product(instance, slots: _Slots, t, ops=None):
@@ -445,90 +339,6 @@ def _fast_forward(ops, masks, m1, m2, c_pm, t_b) -> bool:
         return False
     np.maximum(pre.reshape(size, count, m), 0.0, out=t_b[2:])
     return True
-
-
-# -- single-design views of the steps ---------------------------------------
-
-def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
-                        eps: float) -> float:
-    diff = poles - mu
-    if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
-        raise SecularPoleError(f"mu={mu!r} is within rounding of a pole of f")
-    return float(np.sum(qt2 / (diff * diff)) - eps * eps)
-
-
-def _one_row_parts(u, t, instance: ProblemInstance):
-    gu, phi_t, ht_phi = _row(u, t, instance)
-    return (gu, phi_t) + _w_parts(instance, gu, ht_phi)
-
-
-def secular_value(mu: float, u, t, instance: ProblemInstance) -> float:
-    """Secular function f(mu) = q^T (P - mu I)^{-2} q - eps^2."""
-    qt2 = _one_row_parts(u, t, instance)[3]
-    return _secular_from_parts(mu, qt2[0], instance.poles, instance.epsilon)
-
-
-def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
-    """Root bracket (lam_bar_max, ||q||/eps + lam_bar_max] for the multiplier."""
-    if instance.epsilon <= 0:
-        raise ValueError("bracket undefined for epsilon = 0 (w is fixed to 0)")
-    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
-    if degen[0]:
-        raise ValueError("degenerate q = 0: no secular root exists")
-    qn = math.sqrt(float(qt2.sum()))
-    return instance.lam_bar_max, qn / instance.epsilon + instance.lam_bar_max
-
-
-def solve_mu(u, t, instance: ProblemInstance) -> float:
-    """Largest root of the secular equation at (u, t).
-
-    The reference root search of the property checks (see
-    :func:`_root_from_parts`); neither :func:`solve` nor the loop runs it.
-    Returns lam_bar_max for the degenerate q = 0 case (the caller then
-    builds w from the top eigenvector of P).
-    """
-    if instance.epsilon <= 0:
-        raise ValueError("solve_mu requires epsilon > 0")
-    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
-    if degen[0]:
-        return instance.lam_bar_max
-    return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max)
-
-
-def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
-    """Inner maximiser w = -(P - mu I)^{-1} q on the distortion sphere."""
-    if instance.epsilon == 0:
-        return np.zeros(2 * instance.channel.n_t)
-    _, _, qt, _, degen = _one_row_parts(u, t, instance)
-    if degen[0]:
-        return _degenerate_w(1, instance)[0]
-    if np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
-        raise SecularPoleError(f"shift mu={mu!r} is singular")
-    return (qt[0] / (mu - instance.poles)) @ instance.evecs.T
-
-
-def apgd_t_step(state: SolverState, instance: ProblemInstance
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One accelerated projected-gradient step on the non-negative slack.
-
-    Equivalent to a projected gradient step of size sigma_min^2 / 2 on
-    ||H(Gu+w) - Ds - A^{-1} t||^2 from the momentum iterate z, followed by
-    the momentum extrapolation.
-    """
-    x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
-    t_new, z_new = _t_step(instance.slots, x @ instance.h.T - instance.slots.ds,
-                           np.asarray(state.t)[None],
-                           np.ascontiguousarray(state.z, dtype=float)[None])
-    return t_new[0], z_new[0]
-
-
-def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
-    """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
-    g_inv_w = instance.solve_g(np.asarray(w, dtype=float)[None])
-    prod = _phi_product(instance, instance.slots,
-                        np.ascontiguousarray(t, dtype=float)[None])[1]
-    n = len(instance.g)
-    return prod[0, n:2 * n] - g_inv_w[0]
 
 
 @dataclass
@@ -833,68 +643,3 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
     target = -(l_inv @ geometry.ds)
     t, _ = nnls(design, target)
     return l_inv_h.T @ (design @ t - target), t
-
-
-def count_secular_roots(u, t, instance: ProblemInstance) -> int:
-    """Number of real roots of the secular function (diagnostic, small sizes).
-
-    The real line is partitioned at the distinct poles of f.  On each outer
-    tail f is monotone with limit -eps^2, giving one root per tail; on each
-    interior interval f is strictly convex, so the sign of its minimum
-    (located by bisection on f') decides between zero and two roots.
-    Tangential double roots count as two.
-    """
-    if instance.epsilon <= 0:
-        return 0
-    qt2 = _one_row_parts(u, t, instance)[3][0]
-    total = float(qt2.sum())
-    if total <= 0.0:
-        raise ValueError("count_secular_roots requires q != 0")
-    # cluster numerically coincident eigenvalues into single poles
-    order = np.argsort(instance.poles)
-    poles_sorted = instance.poles[order]
-    weights_sorted = qt2[order]
-    poles: list[float] = []
-    weights: list[float] = []
-    for p, wt in zip(poles_sorted, weights_sorted):
-        if poles and p - poles[-1] <= 1e-9 * max(1.0, abs(p)):
-            weights[-1] += wt
-        else:
-            poles.append(float(p))
-            weights.append(float(wt))
-    keep = [i for i, wt in enumerate(weights) if wt > total * 1e-28]
-    if not keep:
-        raise ValueError("count_secular_roots requires q != 0")
-    poles_arr = np.array([poles[i] for i in keep])
-    weights_arr = np.array([weights[i] for i in keep])
-    eps2 = instance.epsilon ** 2
-
-    def f(mu):
-        d = poles_arr - mu
-        return float(np.sum(weights_arr / (d * d))) - eps2
-
-    def fprime(mu):
-        d = poles_arr - mu
-        return float(2.0 * np.sum(weights_arr / (d * d * d)))
-
-    count = 2  # one root on each monotone tail
-    for p_left, p_right in zip(poles_arr[:-1], poles_arr[1:]):
-        width = p_right - p_left
-        lo = p_left + 1e-9 * width
-        hi = p_right - 1e-9 * width
-        if fprime(lo) >= 0.0 or fprime(hi) <= 0.0:
-            continue  # minimum sits inside a guard sliver next to a pole
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if fprime(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        f_min = f(0.5 * (lo + hi))
-        if f_min < 0.0:
-            count += 2
-        elif f_min == 0.0:
-            count += 2  # tangency, counted with multiplicity
-    return count

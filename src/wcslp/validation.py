@@ -1,4 +1,18 @@
-"""Numerical property checks over randomly drawn design problems.
+"""Numerical property checks over randomly drawn design problems, and the
+reference maths they check the solver against.
+
+The inner maximiser over ||w|| <= eps is w = -(P - mu I)^{-1} q, with
+P = H^T H + (1/beta) I, q = P G u - H^T Phi(t) and mu the largest root of
+
+    f(mu) = q^T (P - mu I)^{-2} q - eps^2,
+
+which lies in (lam_bar_max, ||q||/eps + lam_bar_max], lam_bar_max =
+||H||^2 + 1/beta (More and Sorensen's trust-region secular equation).  The
+solver has that maximiser in closed form (see :func:`wcslp.solver._bcd`), so
+no run path searches for the root.  ``solve_mu`` keeps one reference search,
+a Brent root finder on the analytic bracket, with its diagnostics; it and
+the one-design views of the loop's steps (``worst_case_w``, ``apgd_t_step``,
+``update_u``) serve only the checks.
 
 Each check draws seeded random instances and measures one property of the
 solver stack (root bracketing, inner-maximiser dominance, the closed-form
@@ -14,14 +28,245 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 
 from .constellation import PskConstellation, build_ci_geometry
 from .realify import build_real_channel, build_real_distortion
-from .solver import (ProblemInstance, SolverConfig, SolverState, apgd_t_step,
-                     mu_bracket, relaxed_objective, secular_value, solve,
-                     solve_mu, worst_case_w)
+from .solver import (ProblemInstance, SolverConfig, _bmul, _degenerate_w,
+                     _phi_product, _Slots, _sq, phi, relaxed_objective, solve)
 
+# relative size of q below which the inner maximisation is treated as the
+# degenerate (pure eigenvector) case
+_DEGENERATE_RTOL = 1e-13
+# relative inset of the root bracket's left end above the pole boundary
+_BRACKET_INSET = 1e-10
+# brentq's tightest relative tolerance
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+
+
+class SecularPoleError(ValueError):
+    """Evaluation of the secular function at (or within rounding of) a pole."""
+
+
+class RootSearchError(RuntimeError):
+    """No sign change of the secular function above the pole boundary."""
+
+
+# -- the secular equation and its reference root search ---------------------
+
+def _w_parts(instance: ProblemInstance, gu, ht_phi):
+    """q in the eigenbasis of P, its squares, and the rows where q = 0."""
+    pgu = gu @ instance.hth.T + gu / instance.beta
+    qt = (pgu - ht_phi) @ instance.evecs
+    qt2 = qt * qt
+    # ||q|| <= rtol * max(1, ||P G u||, ||H^T Phi||), squared
+    scale2 = np.maximum(1.0, np.maximum(_sq(pgu), _sq(ht_phi)))
+    return qt, qt2, qt2.sum(axis=1) <= _DEGENERATE_RTOL ** 2 * scale2
+
+
+def _one_row_parts(u, t, instance: ProblemInstance):
+    """(G u, Phi(t)) of one design, as one-row arrays, and its ``_w_parts``."""
+    gu = np.asarray(u, dtype=float)[None] @ instance.g.T
+    phi_t = phi(t, instance.geometry)[None]
+    return (gu, phi_t) + _w_parts(instance, gu, phi_t @ instance.h)
+
+
+def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
+                        eps: float) -> float:
+    diff = poles - mu
+    if np.min(np.abs(diff)) <= 1e-13 * max(1.0, abs(mu)):
+        raise SecularPoleError(f"mu={mu!r} is within rounding of a pole of f")
+    return float(np.sum(qt2 / (diff * diff)) - eps * eps)
+
+
+def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float) -> float:
+    """Largest secular root from precomputed eigen-parts.
+
+    f is strictly decreasing right of the poles and its largest root lies in
+    (lam, ||q||/eps + lam].  The search brackets it between
+    lo = lam (1 + inset) and that bound; when f(lo) <= 0 the root is squeezed
+    between the pole boundary and lo, and log-spaced gaps toward the pole
+    locate a point where f is positive.  One Brent search (``brentq``) at
+    its tightest relative tolerance finishes.
+    """
+    eps2 = eps * eps
+    qn = math.sqrt(float(qt2.sum()))
+    lo = lam * (1.0 + _BRACKET_INSET)
+    hi = qn / eps + lam
+
+    def f(mu):
+        diff = poles - mu
+        return float(qt2 @ (1.0 / (diff * diff))) - eps2
+
+    f_lo = f(lo)
+    if f_lo <= 0.0:
+        # Root squeezed between the pole boundary and the inset point: scan
+        # log-spaced gaps toward the pole until f turns positive.
+        gap = lo - lam
+        hi = lo
+        found = False
+        for _ in range(200):
+            gap *= 0.1
+            cand = lam + gap
+            if cand <= lam or gap < 4.0 * np.finfo(float).eps * lam:
+                break
+            if f(cand) > 0.0:
+                lo, found = cand, True
+                break
+            hi = cand
+        if not found:
+            raise RootSearchError(
+                "no sign change above the pole boundary: "
+                f"lam_bar_max={lam!r}, f at inset={f_lo!r}, ||q||={qn!r}, eps={eps!r}")
+    elif f(hi) >= 0.0:
+        # the bound is attained (q on the top eigenvector), up to rounding
+        return hi
+    # xtol is absolute; scaled by lam < mu it is relative too
+    return brentq(f, lo, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
+
+
+def secular_value(mu: float, u, t, instance: ProblemInstance) -> float:
+    """Secular function f(mu) = q^T (P - mu I)^{-2} q - eps^2."""
+    qt2 = _one_row_parts(u, t, instance)[3]
+    return _secular_from_parts(mu, qt2[0], instance.poles, instance.epsilon)
+
+
+def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
+    """Root bracket (lam_bar_max, ||q||/eps + lam_bar_max] for the multiplier."""
+    if instance.epsilon <= 0:
+        raise ValueError("bracket undefined for epsilon = 0 (w is fixed to 0)")
+    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    if degen[0]:
+        raise ValueError("degenerate q = 0: no secular root exists")
+    qn = math.sqrt(float(qt2.sum()))
+    return instance.lam_bar_max, qn / instance.epsilon + instance.lam_bar_max
+
+
+def solve_mu(u, t, instance: ProblemInstance) -> float:
+    """Largest root of the secular equation at (u, t).
+
+    The reference root search of the property checks (see
+    :func:`_root_from_parts`); neither :func:`solve` nor the loop runs it.
+    Returns lam_bar_max for the degenerate q = 0 case (the caller then
+    builds w from the top eigenvector of P).
+    """
+    if instance.epsilon <= 0:
+        raise ValueError("solve_mu requires epsilon > 0")
+    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    if degen[0]:
+        return instance.lam_bar_max
+    return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max)
+
+
+def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
+    """Inner maximiser w = -(P - mu I)^{-1} q on the distortion sphere."""
+    if instance.epsilon == 0:
+        return np.zeros(2 * instance.channel.n_t)
+    _, _, qt, _, degen = _one_row_parts(u, t, instance)
+    if degen[0]:
+        return _degenerate_w(1, instance)[0]
+    if np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
+        raise SecularPoleError(f"shift mu={mu!r} is singular")
+    return (qt[0] / (mu - instance.poles)) @ instance.evecs.T
+
+
+def count_secular_roots(u, t, instance: ProblemInstance) -> int:
+    """Number of real roots of the secular function (diagnostic, small sizes).
+
+    The real line is partitioned at the distinct poles of f.  On each outer
+    tail f is monotone with limit -eps^2, giving one root per tail; on each
+    interior interval f is strictly convex, so the sign of its minimum
+    (located by bisection on f') decides between zero and two roots.
+    Tangential double roots count as two.
+    """
+    if instance.epsilon <= 0:
+        return 0
+    qt2 = _one_row_parts(u, t, instance)[3][0]
+    total = float(qt2.sum())
+    if not total > 0.0:
+        raise ValueError("count_secular_roots requires q != 0")
+    # cluster numerically coincident eigenvalues (eigh sorts them) into
+    # single poles, and drop the poles that q does not weigh
+    poles = instance.poles
+    gaps = np.diff(poles) > 1e-9 * np.maximum(1.0, np.abs(poles[1:]))
+    starts = np.flatnonzero(np.r_[True, gaps])
+    weights = np.add.reduceat(qt2, starts)
+    keep = weights > total * 1e-28
+    poles_arr, weights_arr = poles[starts][keep], weights[keep]
+    eps2 = instance.epsilon ** 2
+
+    def f(mu):
+        d = poles_arr - mu
+        return float(np.sum(weights_arr / (d * d))) - eps2
+
+    def fprime(mu):
+        d = poles_arr - mu
+        return float(2.0 * np.sum(weights_arr / (d * d * d)))
+
+    count = 2  # one root on each monotone tail
+    for p_left, p_right in zip(poles_arr[:-1], poles_arr[1:]):
+        width = p_right - p_left
+        lo = p_left + 1e-9 * width
+        hi = p_right - 1e-9 * width
+        if fprime(lo) >= 0.0 or fprime(hi) <= 0.0:
+            continue  # minimum sits inside a guard sliver next to a pole
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if fprime(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if f(0.5 * (lo + hi)) <= 0.0:
+            count += 2  # a tangency counts with multiplicity
+    return count
+
+
+# -- one-design views of the slack and u steps ------------------------------
+
+@dataclass
+class SolverState:
+    """One design's iterates, as :func:`apgd_t_step` takes them."""
+
+    u: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+
+
+def _t_step(slots: _Slots, r, t, z):
+    """Accelerated projected-gradient step on the slack, given the residual
+    r = H (G u + w) - D s."""
+    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
+    return t_new, t_new + slots.momentum * (t_new - t)
+
+
+def apgd_t_step(state: SolverState, instance: ProblemInstance
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One accelerated projected-gradient step on the non-negative slack.
+
+    Equivalent to a projected gradient step of size sigma_min^2 / 2 on
+    ||H(Gu+w) - Ds - A^{-1} t||^2 from the momentum iterate z, followed by
+    the momentum extrapolation.
+    """
+    x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
+    t_new, z_new = _t_step(instance.slots, x @ instance.h.T - instance.slots.ds,
+                           np.asarray(state.t)[None],
+                           np.ascontiguousarray(state.z, dtype=float)[None])
+    return t_new[0], z_new[0]
+
+
+def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
+    """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
+    g_inv_w = instance.solve_g(np.asarray(w, dtype=float)[None])
+    prod = _phi_product(instance, instance.slots,
+                        np.ascontiguousarray(t, dtype=float)[None])[1]
+    n = len(instance.g)
+    return prod[0, n:2 * n] - g_inv_w[0]
+
+
+# -- the property checks ----------------------------------------------------
 
 @dataclass
 class CheckResult:
@@ -182,8 +427,6 @@ def check_apgd_oracle(n_instances: int = 50, seed: int = 3,
 
 def check_root_parity(n_instances: int = 100, seed: int = 4) -> CheckResult:
     """Secular root count is even and within [2, 2 rank(H)] (single user)."""
-    from .solver import count_secular_roots
-
     rng = np.random.default_rng(seed)
     ok = True
     counts = []

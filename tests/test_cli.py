@@ -127,11 +127,19 @@ def test_missing_beta_names_the_key(tmp_path, capsys):
     ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nconfidence = 2"),
     ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nnoise_draw_scale = nan"),
     ("sweep", SWEEP_INI, "seed = 5", "seed = 5\nphase_offset = nan"),
+    ("sweep", SWEEP_INI, "n_r = 4", "n_r = 0"),
+    ("solve", SOLVE_INI, "n_t = 3\nn_r = 3", "n_t = 0\nn_r = 0"),
+    ("solve", SOLVE_INI, "n_r = 3", "n_r = 0"),
+    ("sweep", SWEEP_INI, "gamma_db = 4, 12", "gamma_db = "),
+    ("sweep", SWEEP_INI, "betas = 1, 10", "betas = "),
+    ("sweep", SWEEP_INI, "schemes = wc-slp, nominal-slp", "schemes = "),
 ], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range",
         "one-mi-bin", "nan-gamma", "inf-gamma", "negative-seed", "zero-beta",
         "negative-sweep-beta", "nan-outer-tol", "nan-sigma-w-sq", "inf-epsilon",
         "nan-noise-sigma", "inf-sweep-beta", "inf-beta", "confidence-2",
-        "nan-noise-draw-scale", "nan-phase-offset"])
+        "nan-noise-draw-scale", "nan-phase-offset", "zero-sweep-users",
+        "zero-antennas", "zero-users", "empty-gamma-grid", "empty-beta-grid",
+        "no-schemes"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, ini, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(ini.replace(old, new))

@@ -6,15 +6,16 @@ import pytest
 from scipy.linalg import block_diag
 
 import wcslp.solver as solver_module
+import wcslp.validation as validation_module
 
 from wcslp.constellation import PskConstellation, build_ci_geometry
 from wcslp.realify import build_real_channel, build_real_distortion
-from wcslp.solver import (ProblemInstance, SecularPoleError, SolverConfig,
-                          SolverState, apgd_t_step,
-                          count_secular_roots, mu_bracket, nominal_slp, phi,
-                          relaxed_objective, secular_value, solve, solve_batch,
-                          solve_mu, update_u, worst_case_w)
-from wcslp.validation import random_instance, random_point
+from wcslp.solver import (ProblemInstance, SolverConfig, nominal_slp, phi,
+                          relaxed_objective, solve, solve_batch)
+from wcslp.validation import (SecularPoleError, SolverState, apgd_t_step,
+                              count_secular_roots, mu_bracket, random_instance,
+                              random_point, secular_value, solve_mu, update_u,
+                              worst_case_w)
 
 QPSK = PskConstellation(4)
 
@@ -44,6 +45,13 @@ def test_phi_examples():
     np.testing.assert_allclose(phi(np.array([1.0, 2.0]), geom), [root2 + 2, root2 + 1])
     with pytest.raises(ValueError):
         phi(np.array([-0.1, 0.0]), geom)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_phi_rejects_non_finite_slack(bad):
+    geom = build_ci_geometry([0, 1], [4.0, 4.0], [1.0, 1.0], QPSK)
+    with pytest.raises(ValueError):
+        phi(np.array([bad, 0.0, 0.0, 0.0]), geom)
 
 
 def test_phi_linearity():
@@ -445,7 +453,7 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     slots = solver_module._slots(geoms)
     phi0, prod0 = solver_module._phi_product(proto, slots, np.zeros((len(geoms), 6)))
     u0 = prod0[:, 6:12]             # G^{-1} y at w = 0
-    rounded_flat = solver_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
+    rounded_flat = validation_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
     assert 0 < np.sum(rounded_flat) < len(geoms)
     _assert_batch_equals_alone(proto, geoms, SolverConfig(max_iterations=30, outer_tol=1e-6))
 
@@ -461,8 +469,8 @@ def test_root_search_certifies_a_sign_change():
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
     lam, poles, eps = inst.lam_bar_max, inst.poles, inst.epsilon
-    inset = solver_module._BRACKET_INSET
-    qt2 = [solver_module._one_row_parts(*random_point(rng, inst), inst)[3][0]
+    inset = validation_module._BRACKET_INSET
+    qt2 = [validation_module._one_row_parts(*random_point(rng, inst), inst)[3][0]
            for _ in range(6)]
     # a squeezed root: q on the top eigenvector so small that the root lies
     # between the pole boundary and the inset point, and on the lowest one
@@ -481,13 +489,13 @@ def test_root_search_certifies_a_sign_change():
     qt2 = np.vstack(qt2 + [top, squeezed, lopsided])
     lo = lam * (1 + inset)
     hi = np.sqrt(qt2.sum(axis=1)) / eps + lam
-    assert solver_module._secular_from_parts(lo, squeezed, poles, eps) <= 0.0
+    assert validation_module._secular_from_parts(lo, squeezed, poles, eps) <= 0.0
     assert hi[-2] > 1.1 * lo
 
-    root = np.array([solver_module._root_from_parts(q, poles, eps, lam) for q in qt2])
+    root = np.array([validation_module._root_from_parts(q, poles, eps, lam) for q in qt2])
     for q, mu in zip(qt2, root):
-        assert solver_module._secular_from_parts(mu * (1 - 1e-12), q, poles, eps) > 0.0
-        assert solver_module._secular_from_parts(mu * (1 + 1e-12), q, poles, eps) <= 0.0
+        assert validation_module._secular_from_parts(mu * (1 - 1e-12), q, poles, eps) > 0.0
+        assert validation_module._secular_from_parts(mu * (1 + 1e-12), q, poles, eps) <= 0.0
     assert np.all((lam < root) & (root <= hi))
     assert root[-2] < lo
     assert root[-3] == pytest.approx(hi[-3], rel=1e-14)
@@ -568,7 +576,7 @@ def test_qpsk_slack_step_is_a_projection():
     assert slots.momentum == 0.0
     assert np.abs(slots.b).max() <= 1e-16
     r, t, z = rng.standard_normal((3, 4, 6))
-    t_new, z_new = solver_module._t_step(slots, r, t, z)
+    t_new, z_new = validation_module._t_step(slots, r, t, z)
     expected = np.maximum(np.stack([block_diag(*gm.a_inv_blocks).T @ row
                                     for gm, row in zip(geoms, r)]), 0.0)
     np.testing.assert_allclose(t_new, expected, rtol=0, atol=1e-15 * np.abs(r).max())
