@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of two checkouts of this repository.
+"""Paired runs of two checkouts of this repository.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload sweep-wc \
-        --pairs 10 --seconds 30 --out BENCH_12.json
+        --pairs 10 --seconds 30 --out BENCH_18.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload wall \
+        --pairs 3 --out BENCH_18.json
 
-Runs ``perfbench/run.py --workload W --seconds S --seed N`` in the parent and
-in the change checkout, pair after pair, alternating which side runs first;
-both sides of a pair get the same seed.  Each run is a fresh interpreter that
-imports the program from its own checkout.  The end-to-end metrics named in
-the change's ``BENCHMARK.json`` are recorded for every run, with each side's
-median and quartiles and the number of pairs the change won; each side's
-commit comes with the line count of its ``src/wcslp``.  The result is
-stored under the workload's name in the ``--out`` file, which must be named;
-entries of other workloads already there are kept.
+A workload is the commands each side runs per pair: ``perfbench/run.py``
+for a perfbench workload, both sides of a pair with the same seed, or for
+``wall`` tier-1, criterion 4's test, the criterion-8 tests (their sweep
+fixture included) and the criterion-8 sweep at ``parallel`` 1 and 2.  Each
+command runs in a fresh interpreter in its checkout, with that checkout's
+``src`` first on the path; the sides take turns at running first.  Every run
+records its wall seconds, ``cpu_s`` (user + system seconds of its process
+tree, pool workers included) and exit code; a perfbench run also its result.
+The summary gives each metric's quartiles per side and the pairs the change
+won (a tie counts for neither side).  The entry is stored under the
+workload's name in ``--out``, keeping the other workloads' entries there.
 """
 
 from __future__ import annotations
@@ -20,12 +24,44 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PERFBENCH = "perfbench/run.py"
+SECONDS = {"unit": "s", "better": "lower"}
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+# the criterion-8 sweep of tests/test_acceptance.py's fixture, which pools min(8, cores)
+CRITERION_8 = """\
+from wcslp.simulator import DistortionSpec, SweepConfig, run_sweep
+from wcslp.solver import SolverConfig
+records = run_sweep(SweepConfig(
+    n_t=8, n_r=8, gamma_db_grid=(4.0, 8.0, 12.0, 16.0), beta_grid=(1.0, 100.0, 1e4),
+    blocks=50, symbols_per_block=100, seed=20260809,
+    schemes=("wc-slp", "nominal-under-distortion"), mi_bins=16, parallel={parallel},
+    distortion=DistortionSpec(sigma_w_sq=0.02, epsilon=0.56),
+    solver=SolverConfig(max_iterations=4000, outer_tol=1e-3)))
+print(len(records), "records,", sum(r.solver_failures for r in records), "solver failures")
+"""
+WALL = {
+    "tier1": PYTEST + ["--continue-on-collection-errors"],
+    "criterion_4": PYTEST + ["tests/test_acceptance.py::test_criterion_4_baseline_consistency"],
+    "criterion_8": PYTEST + ["tests/test_acceptance.py", "-k", "criterion_8"],
+    **{f"criterion_8_parallel_{parallel}":
+       [sys.executable, "-c", CRITERION_8.format(parallel=parallel)] for parallel in (1, 2)},
+}
+
+
+def commands(workload: str, seconds: float, seed) -> dict:
+    """The commands each side runs in one pair, by target."""
+    if workload == "wall":
+        return WALL
+    return {workload: [sys.executable, PERFBENCH, "--workload", workload,
+                       "--seconds", str(seconds), "--seed", str(seed)]}
 
 
 def commit_of(checkout: Path) -> dict:
@@ -42,18 +78,27 @@ def commit_of(checkout: Path) -> dict:
                              for path in (checkout / "src" / "wcslp").glob("*.py"))}
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run; its last line of output is the result object."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
+def run_once(checkout: Path, cmd: list[str]) -> dict:
+    """One run of ``cmd`` in ``checkout``: wall and CPU seconds, exit code,
+    and the last line of output, parsed as the result object for perfbench."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    record = {"seconds": seconds, "cpu_s": (after.ru_utime - before.ru_utime)
+              + (after.ru_stime - before.ru_stime), "exit": proc.returncode}
+    lines = proc.stdout.strip().splitlines()
+    if PERFBENCH not in cmd:
+        return {**record, "summary": lines[-1] if lines else proc.stderr[-500:]}
     if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+    return {**record, **{k: result[k] for k in ("correct", "attempted", "failed")},
             "metrics": {m: v["value"] for m, v in result["metrics"].items()}}
 
 
@@ -62,18 +107,21 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs, metrics) -> dict:
-    """Per metric: each side's quartiles and the pairs the change won."""
+def summarize(values, metrics) -> dict:
+    """Per row: each side's quartiles and the pairs the change won.  ``values``
+    holds, pair by pair, each side's values by row.  A row named in
+    ``metrics`` takes its unit, direction and bound from there; any other
+    row is seconds, lower being better."""
+    specs = {m["name"]: {k: m[k] for k in ("unit", "better", "bound")} for m in metrics}
     out = {}
-    for metric in metrics:
-        name, better = metric["name"], metric["better"]
-        sides = {side: [run[side]["metrics"][name] for run in runs] for side in SIDES}
-        sign = 1.0 if better == "higher" else -1.0
+    for name in values[0]["change"]:
+        spec = specs.get(name, SECONDS)
+        sides = {side: [pair[side][name] for pair in values] for side in SIDES}
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"unit": metric["unit"], "better": better, "bound": metric["bound"],
-                     "parent": quartiles(sides["parent"]),
+        out[name] = {**spec, "parent": quartiles(sides["parent"]),
                      "change": quartiles(sides["change"]),
-                     "change_wins": wins, "pairs": len(runs)}
+                     "change_wins": wins, "pairs": len(values)}
     return out
 
 
@@ -81,46 +129,51 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a perfbench workload, or 'wall'")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=30.0, help="perfbench run length")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the first pair")
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file to add the workload's entry to")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
+    wall = args.workload == "wall"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = []
+    runs, values = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        run = {"pair": i, "seed": seed, "order": list(order)}
-        for side in order:
-            run[side] = run_once(checkouts[side], args.workload, args.seconds, seed)
+        run = {"pair": i, **({} if wall else {"seed": seed}), "order": list(order)}
+        pair = {side: {} for side in SIDES}
+        for target, cmd in commands(args.workload, args.seconds, seed).items():
+            records = run.setdefault(target, {}) if wall else run
+            for side in order:
+                rec = records[side] = run_once(checkouts[side], cmd)
+                pair[side].update({target: rec["seconds"], f"{target}_cpu_s": rec["cpu_s"]}
+                                  if wall else {**rec["metrics"], "cpu_s": rec["cpu_s"]})
+            print(f"pair {i} {target}: " + ", ".join(
+                f"{side} {records[side]['seconds']:.1f} s, {records[side]['cpu_s']:.1f} cpu s"
+                for side in SIDES), flush=True)
         runs.append(run)
-        print(f"pair {i} seed {seed}: " + ", ".join(
-            f"{side} {run[side]['metrics'].get('designs_per_s', float('nan')):.6g}"
-            for side in SIDES) + " designs/s", flush=True)
+        values.append(pair)
 
-    entry = {"command": ["python3", "perfbench/run.py", "--workload", args.workload,
-                         "--seconds", str(args.seconds), "--seed", "<seed>"],
+    shown = {target: ["python3"] + cmd[1:]
+             for target, cmd in commands(args.workload, args.seconds, "<seed>").items()}
+    entry = {**({"commands": shown} if wall else {"command": shown[args.workload]}),
              "cores": len(os.sched_getaffinity(0)),
-             "parent": commit_of(checkouts["parent"]),
-             "change": commit_of(checkouts["change"]),
-             "summary": summarize(runs, metrics), "runs": runs}
+             **{side: commit_of(checkouts[side]) for side in SIDES},
+             "summary": summarize(values, metrics), "runs": runs}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, row in entry["summary"].items():
-        print(f"{name}: parent {row['parent']['median']:.6g} "
-              f"[{row['parent']['q1']:.6g}, {row['parent']['q3']:.6g}], "
-              f"change {row['change']['median']:.6g} "
-              f"[{row['change']['q1']:.6g}, {row['change']['q3']:.6g}], "
-              f"change better in {row['change_wins']} of {row['pairs']}")
-    return 0 if all(run[side]["correct"] for run in runs for side in SIDES) else 1
+        print(f"{name} ({row['unit']}): " + ", ".join(
+            f"{side} {row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
+            for side in SIDES) + f", change better in {row['change_wins']} of {row['pairs']}")
+    return 0 if wall or all(run[side]["correct"] for run in runs for side in SIDES) else 1
 
 
 if __name__ == "__main__":

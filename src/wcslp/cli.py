@@ -323,6 +323,8 @@ def cmd_validate(args) -> int:
     section = data.get("validate", {})
     seed = args.seed if args.seed is not None else section.get("seed", 0)
     quick = section.get("quick", True)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative", args.config)
     print(f"seed = {seed}")
     results = run_all(seed=seed, quick=quick)
     for res in results:

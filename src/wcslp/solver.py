@@ -162,6 +162,8 @@ class _Slots:
 
 
 def _slots(geometries) -> _Slots:
+    if not geometries:
+        raise ValueError("a batch needs at least one slot; got an empty batch")
     const = geometries[0].constellation
     if any(gm.constellation != const for gm in geometries):
         raise ValueError("all slots of a batch must share one constellation")

@@ -133,13 +133,14 @@ def test_missing_beta_names_the_key(tmp_path, capsys):
     ("sweep", SWEEP_INI, "gamma_db = 4, 12", "gamma_db = "),
     ("sweep", SWEEP_INI, "betas = 1, 10", "betas = "),
     ("sweep", SWEEP_INI, "schemes = wc-slp, nominal-slp", "schemes = "),
+    ("validate", "[validate]\nseed = 1\n", "seed = 1", "seed = -1"),
 ], ids=["order-6", "order-3", "no-iterations", "negative-beta", "symbol-range",
         "one-mi-bin", "nan-gamma", "inf-gamma", "negative-seed", "zero-beta",
         "negative-sweep-beta", "nan-outer-tol", "nan-sigma-w-sq", "inf-epsilon",
         "nan-noise-sigma", "inf-sweep-beta", "inf-beta", "confidence-2",
         "nan-noise-draw-scale", "nan-phase-offset", "zero-sweep-users",
         "zero-antennas", "zero-users", "empty-gamma-grid", "empty-beta-grid",
-        "no-schemes"])
+        "no-schemes", "negative-validate-seed"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, ini, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(ini.replace(old, new))
@@ -228,6 +229,11 @@ def test_validate_runs_and_prints_seed(tmp_path, capsys):
     assert code == 0
     assert "seed = 0" in outtext
     assert outtext.count("PASS") == 5
+
+
+def test_validate_rejects_a_negative_seed_flag(capsys):
+    assert main(["validate", "--seed", "-1"]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reason, old, new", [

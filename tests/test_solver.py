@@ -465,6 +465,12 @@ def test_solve_batch_rejects_mixed_constellations():
         solve_batch(proto, geoms + [psk8])
 
 
+def test_solve_batch_rejects_an_empty_batch():
+    proto, _ = _batch_problem(16, 3, 4, 10.0, 0.56)
+    with pytest.raises(ValueError, match="empty batch"):
+        solve_batch(proto, [])
+
+
 def test_root_search_certifies_a_sign_change():
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
