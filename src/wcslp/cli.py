@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -19,9 +20,8 @@ import numpy as np
 
 from .constellation import PskConstellation, build_ci_geometry
 from .realify import build_real_distortion
-from .simulator import (DISTORTION_PRESETS, SCHEMES, DistortionSpec,
-                        MetricsRecord, SweepConfig, calibrate_epsilon,
-                        run_sweep, sample_channel)
+from .simulator import (DISTORTION_PRESETS, SCHEMES, DistortionSpec, SweepConfig,
+                        calibrate_epsilon, run_sweep, sample_channel)
 from .solver import ProblemInstance, SolverConfig, solve
 from .validation import run_all
 
@@ -48,33 +48,30 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+def _list_of(item):
+    """Parser of a comma list of ``item`` values; blank items are skipped."""
+    return lambda raw: tuple(item(x.strip()) for x in raw.split(",") if x.strip())
 
 
-def _parse_int_list(raw: str) -> tuple:
-    return tuple(int(x) for x in raw.split(",") if x.strip())
-
-
-def _parse_str_list(raw: str) -> tuple:
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
-
+# [sweep] keys whose SweepConfig field has another name
+_SWEEP_FIELDS = {"gamma_db": "gamma_db_grid", "betas": "beta_grid",
+                 "modulation_order": "constellation_order"}
 
 # section -> key -> parser; None default means "no default, optional"
 _SCHEMA = {
     "sweep": {
         "n_t": int, "n_r": int, "modulation_order": int, "phase_offset": float,
-        "gamma_db": _parse_float_list, "betas": _parse_float_list,
+        "gamma_db": _list_of(float), "betas": _list_of(float),
         "blocks": int, "symbols_per_block": int, "noise_sigma": float,
         "noise_draw_scale": float, "sigma_w_sq": float, "epsilon": float,
         "confidence": float, "distortion_preset": str,
-        "schemes": _parse_str_list, "seed": int, "parallel": int,
+        "schemes": _list_of(str), "seed": int, "parallel": int,
         "ee_complement": _parse_bool, "mi_bins": int,
     },
     "solve": {
         "n_t": int, "n_r": int, "modulation_order": int, "phase_offset": float,
         "gamma_db": float, "beta": float, "epsilon": float,
-        "noise_sigma": float, "seed": int, "symbols": _parse_int_list,
+        "noise_sigma": float, "seed": int, "symbols": _list_of(int),
     },
     "solver": {"max_iterations": int, "outer_tol": float},
     "validate": {"seed": int, "quick": _parse_bool},
@@ -176,20 +173,13 @@ def _sweep_config(data: dict, path: str, args) -> SweepConfig:
     kwargs = dict(n_t=n_t, n_r=n_r, distortion=distortion)
     if "solver" in data:
         kwargs["solver"] = _solver_config(data, path)
-    rename = {"gamma_db": "gamma_db_grid", "betas": "beta_grid",
-              "modulation_order": "constellation_order"}
     for key, value in sec.items():
         if key in ("n_t", "n_r"):
             continue
-        kwargs[rename.get(key, key)] = value
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.parallel is not None:
-        kwargs["parallel"] = args.parallel
-    if args.ee_complement:
-        kwargs["ee_complement"] = True
-    if args.schemes is not None:
-        kwargs["schemes"] = tuple(s.strip() for s in args.schemes.split(","))
+        kwargs[_SWEEP_FIELDS.get(key, key)] = value
+    flags = dict(seed=args.seed, parallel=args.parallel, schemes=args.schemes,
+                 ee_complement=args.ee_complement or None)
+    kwargs.update((key, value) for key, value in flags.items() if value is not None)
     try:
         return SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -197,53 +187,46 @@ def _sweep_config(data: dict, path: str, args) -> SweepConfig:
 
 
 def _effective_sweep_echo(config: SweepConfig) -> list[str]:
-    """Experiment-defining keys with defaults resolved.
+    """Experiment-defining keys with defaults resolved: the config's fields
+    and its distortion spec's under their [sweep] keys, and the solver's as
+    ``solver.<key>``.
 
     Execution-only settings (parallelism, output location) are excluded so
     that reruns of the same experiment emit byte-identical artifacts.
     """
-    items = {
-        "n_t": config.n_t, "n_r": config.n_r,
-        "modulation_order": config.constellation_order,
-        "phase_offset": (math.pi / config.constellation_order
-                         if config.phase_offset is None else config.phase_offset),
-        "gamma_db": config.gamma_db_grid, "betas": config.beta_grid,
-        "blocks": config.blocks, "symbols_per_block": config.symbols_per_block,
-        "noise_sigma": config.noise_sigma,
-        "noise_draw_scale": config.noise_draw_scale,
-        "sigma_w_sq": config.distortion.sigma_w_sq,
-        "epsilon": config.distortion.epsilon,
-        "confidence": config.distortion.confidence,
-        "schemes": config.schemes, "seed": config.seed,
-        "ee_complement": config.ee_complement, "mi_bins": config.mi_bins,
-        "solver.max_iterations": config.solver.max_iterations,
-        "solver.outer_tol": config.solver.outer_tol,
-    }
-    return [f"# {key} = {_fmt(value)}" for key, value in sorted(items.items())]
-
-
-def _record_row(rec: MetricsRecord) -> str:
-    return ",".join([
-        f"{rec.gamma_db:.17g}", f"{rec.beta:.17g}", rec.scheme,
-        f"{rec.mean_power:.17g}", f"{rec.ber:.17g}",
-        f"{rec.mi_bits_per_user:.17g}", f"{rec.energy_efficiency:.17g}",
-        str(rec.blocks), str(rec.symbols_per_block),
-        str(rec.solver_failures), str(rec.seed),
-    ])
+    items = asdict(config)
+    items |= items.pop("distortion") | {f"solver.{k}": v for k, v in items.pop("solver").items()}
+    del items["parallel"]
+    if config.phase_offset is None:
+        items["phase_offset"] = math.pi / config.constellation_order
+    keys = {name: key for key, name in _SWEEP_FIELDS.items()}
+    return [f"# {key} = {_fmt(value)}"
+            for key, value in sorted((keys.get(k, k), v) for k, v in items.items())]
 
 
 def write_sweep_csv(config: SweepConfig, records, path: str) -> None:
-    """Write sweep records with the resolved-configuration comment block."""
+    """Write sweep records, each a row of its ``CSV_HEADER`` fields, after
+    the resolved-configuration comment block."""
+    names = CSV_HEADER.split(",")
     lines = _effective_sweep_echo(config) + [CSV_HEADER]
-    lines += [_record_row(rec) for rec in records]
+    lines += [",".join(_fmt(getattr(rec, name)) for name in names) for rec in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _out_path(args, data: dict, default: str | None) -> str | None:
+    """``--out``, else ``[output] out``, else ``default``; its directory is
+    checked before any work is done."""
+    out = args.out or data.get("output", {}).get("out") or default
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"the directory of output path {out!r} does not exist", args.config)
+    return out
 
 
 def cmd_sweep(args) -> int:
     data = parse_config(args.config)
     config = _sweep_config(data, args.config, args)
-    out = args.out or data.get("output", {}).get("out") or "sweep.csv"
+    out = _out_path(args, data, "sweep.csv")
     records = run_sweep(config)
     write_sweep_csv(config, records, out)
     print(f"wrote {len(records)} records to {out}")
@@ -255,6 +238,7 @@ def cmd_solve(args) -> int:
     section = data.get("solve")
     if section is None:
         raise ConfigError("missing [solve] section", args.config)
+    out = _out_path(args, data, "solve_report.json")
     n_t = _require(section, "n_t", "solve", args.config)
     n_r = section.get("n_r", n_t)
     beta = _require(section, "beta", "solve", args.config)
@@ -296,20 +280,11 @@ def cmd_solve(args) -> int:
         "seed": seed, "symbols": list(symbols),
         "solver": asdict(solver_config),
     }
-    doc = {
-        "config": effective,
-        "converged": bool(report.converged),
-        "limit_cycle": bool(report.limit_cycle),
-        "stop_reason": report.stop_reason,
-        "iterations": int(report.iterations),
-        "objective": float(report.objective),
-        "fixed_point_residual_max": float(report.fixed_point_residual_max),
-        "u": report.u.tolist(),
-        "t": report.t.tolist(),
-        "w": report.w.tolist(),
-        "objective_trace": report.trace.tolist(),
-    }
-    out = args.out or data.get("output", {}).get("out") or "solve_report.json"
+    doc = {"config": effective}
+    for name in ("converged", "limit_cycle", "stop_reason", "iterations", "objective",
+                 "fixed_point_residual_max", "u", "t", "w", "trace"):
+        key = "objective_trace" if name == "trace" else name
+        doc[key] = np.asarray(getattr(report, name)).tolist()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -325,11 +300,11 @@ def cmd_validate(args) -> int:
     quick = section.get("quick", True)
     if seed < 0:
         raise ConfigError("seed must be non-negative", args.config)
+    out = _out_path(args, data, None)
     print(f"seed = {seed}")
     results = run_all(seed=seed, quick=quick)
     for res in results:
         print(res.line())
-    out = args.out or data.get("output", {}).get("out")
     if out:
         doc = {"config": {"seed": seed, "quick": quick},
                "checks": [asdict(r) for r in results]}
@@ -367,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ee-complement", action="store_true",
                            help="use (1 - BER) instead of BER in the energy-"
                                 "efficiency ratio")
-            p.add_argument("--schemes",
+            p.add_argument("--schemes", type=_list_of(str),
                            help=f"comma list overriding the schemes "
                                 f"(known: {', '.join(SCHEMES)})")
     return parser

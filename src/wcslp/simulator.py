@@ -353,17 +353,18 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     """Evaluate every (gamma, beta, scheme) cell of the configured grid.
 
     A coherence block is the work unit (:func:`_run_block`).  With
-    ``parallel > 1`` blocks are fanned out to a process pool (workers beyond
-    ``blocks`` sit idle) and reduced in block order, so the records are
-    identical for any worker count; each worker runs BLAS on one thread.
+    ``parallel > 1`` blocks are fanned out to a pool of at most ``blocks``
+    processes and reduced in block order, so the records are identical for
+    any worker count; each worker runs BLAS on one thread.
     Each distinct tally is reduced once: a nominal scheme's, shared by every
     beta, once per (gamma, scheme).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
     run = partial(_run_block, config)
-    if config.parallel > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel,
+    workers = min(config.parallel, config.blocks)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             per_block = list(pool.map(run, range(config.blocks)))
     else:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -69,39 +69,49 @@ class SolverConfig:
 
 
 @dataclass
-class SolveReport:
-    """Final iterates plus per-run diagnostics.
+class BatchSolveResult:
+    """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
 
-    The fields other than ``objective`` and ``trace`` are row 0 of
-    :class:`BatchSolveResult`.  ``objective`` is the worst-case value of the
-    returned (u, t): the relaxed objective at the inner maximiser -w of that
-    design.  ``trace`` holds, per iteration, the objective right after the
-    u-update, where G u + w equals P^{-1} H^T Phi(t) and w cancels:
-    Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
+    Each row holds the iterate of the first iteration whose stopping test
+    passed (or of the last one the budget allows): ``iterations`` counts up
+    to it, and ``converged`` and ``limit_cycle`` are its test's outcome.  The
+    test is evaluated per iteration, once per block of iterations (see
+    :func:`_bcd`).  ``w`` is that iteration's w-step maximiser, on the sphere
+    ||w|| = eps (w = 0 at eps = 0); ``fixed_point_residual_max`` is the
+    largest ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps up
+    to it.
     """
 
     u: np.ndarray
     t: np.ndarray
     w: np.ndarray
-    objective: float
-    iterations: int
-    trace: np.ndarray
-    converged: bool
-    limit_cycle: bool = False
-    fixed_point_residual_max: float = 0.0
+    iterations: np.ndarray
+    converged: np.ndarray
+    limit_cycle: np.ndarray
+    fixed_point_residual_max: np.ndarray
 
     @property
-    def stop_reason(self) -> str:
-        """``tolerance``, ``two_cycle`` or ``budget`` (see :func:`_stop_reason`)."""
-        return str(_stop_reason(self.converged, self.limit_cycle))
+    def stop_reason(self) -> np.ndarray | str:
+        """Why the loop stopped, per row: ``tolerance`` when the
+        one-iteration window passed the test, ``two_cycle`` when only the
+        two-iteration window did (``limit_cycle``), and ``budget`` when
+        neither did within ``max_iterations``; one string for one design."""
+        return np.where(self.converged, np.where(self.limit_cycle, "two_cycle", "tolerance"),
+                        "budget")[()]
 
 
-def _stop_reason(converged, limit_cycle) -> np.ndarray:
-    """Why the loop stopped: ``tolerance`` when the one-iteration window
-    passed the test, ``two_cycle`` when only the two-iteration window did
-    (``limit_cycle``), and ``budget`` when neither did within
-    ``max_iterations``."""
-    return np.where(converged, np.where(limit_cycle, "two_cycle", "tolerance"), "budget")
+@dataclass
+class SolveReport(BatchSolveResult):
+    """Row 0 of :class:`BatchSolveResult`, its scalars as Python numbers,
+    plus ``objective``, the worst-case value of the returned (u, t) (the
+    relaxed objective at the inner maximiser -w of that design), and
+    ``trace``, per iteration the objective right after the u-update, where
+    G u + w equals P^{-1} H^T Phi(t) and w cancels:
+    Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
+    """
+
+    objective: float
+    trace: np.ndarray
 
 
 def _momentum(constellation: PskConstellation) -> float:
@@ -343,35 +353,6 @@ def _fast_forward(ops, masks, m1, m2, c_pm, t_b) -> bool:
     return True
 
 
-@dataclass
-class BatchSolveResult:
-    """Per-row outputs of :func:`solve_batch` (one row per symbol slot).
-
-    Each row holds the iterate of the first iteration whose stopping test
-    passed (or of the last one the budget allows): ``iterations`` counts up
-    to it, and ``converged`` and ``limit_cycle`` are its test's outcome.  The
-    test is evaluated per iteration, once per block of iterations (see
-    :func:`_bcd`).  ``w`` is that iteration's w-step maximiser, on the sphere
-    ||w|| = eps (w = 0 at eps = 0); ``fixed_point_residual_max`` is the
-    largest ||G u + w - P^{-1} H^T Phi(t)|| / ||Phi(t)|| over the u-steps up
-    to it.  ``stop_reason`` names the outcome in one word.
-    """
-
-    u: np.ndarray
-    t: np.ndarray
-    w: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    limit_cycle: np.ndarray
-    fixed_point_residual_max: np.ndarray
-
-    @property
-    def stop_reason(self) -> np.ndarray:
-        """Per row, ``tolerance``, ``two_cycle`` or ``budget``
-        (see :func:`_stop_reason`)."""
-        return _stop_reason(self.converged, self.limit_cycle)
-
-
 # iterations of the loop per evaluation of its stopping test (see _bcd)
 _BLOCK = 16
 # most live rows a fast-forwarded block may have (see _bcd)
@@ -603,14 +584,10 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     config = config or SolverConfig()
     trace = []
     res = _bcd(instance, instance.slots, config, trace)
-    u, t, w = res.u[0], res.t[0], res.w[0]
-    return SolveReport(u=u, t=t, w=w,
-                       objective=relaxed_objective(u, t, -w, instance),
-                       iterations=int(res.iterations[0]),
-                       trace=np.concatenate(trace)[:, 0],
-                       converged=bool(res.converged[0]),
-                       limit_cycle=bool(res.limit_cycle[0]),
-                       fixed_point_residual_max=float(res.fixed_point_residual_max[0]))
+    row = {f.name: getattr(res, f.name)[0] for f in fields(res)}
+    row = {name: value if np.ndim(value) else value.item() for name, value in row.items()}
+    objective = relaxed_objective(row["u"], row["t"], -row["w"], instance)
+    return SolveReport(**row, objective=objective, trace=np.concatenate(trace)[:, 0])
 
 
 def solve_batch(proto: ProblemInstance, geometries,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import wcslp.cli as cli
 from wcslp.cli import main
 
 SWEEP_INI = """\
@@ -76,6 +77,69 @@ def test_sweep_schemes_flag_restricts_rows(sweep_config, tmp_path):
     rows = [l for l in out.read_text().splitlines()
             if not l.startswith("#")][1:]
     assert rows and all(r.split(",")[2] == "nominal-slp" for r in rows)
+
+
+def test_schemes_flag_skips_blank_items_like_the_key(sweep_config, tmp_path):
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out1),
+                 "--schemes", "nominal-slp,"]) == 0
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out2),
+                 "--schemes", "nominal-slp"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_echo_block_is_pinned(tmp_path):
+    path = tmp_path / "echo.ini"
+    path.write_text(SWEEP_INI.replace("seed = 5\n", "seed = 5\ndistortion_preset = literal\n"))
+    out = tmp_path / "echo.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out),
+                 "--seed", "7", "--ee-complement"]) == 0
+    echo = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert echo == [
+        "# betas = 1, 10",
+        "# blocks = 2",
+        "# confidence = 0.98999999999999999",
+        "# ee_complement = True",
+        "# epsilon = 0.56000000000000005",
+        "# gamma_db = 4, 12",
+        "# mi_bins = 8",
+        "# modulation_order = 4",
+        "# n_r = 4",
+        "# n_t = 4",
+        "# noise_draw_scale = 1",
+        "# noise_sigma = 1",
+        "# phase_offset = 0.78539816339744828",
+        "# schemes = wc-slp, nominal-slp",
+        "# seed = 7",
+        "# sigma_w_sq = 0.10000000000000001",
+        "# solver.max_iterations = 1500",
+        "# solver.outer_tol = 0.001",
+        "# symbols_per_block = 10",
+    ]
+
+
+@pytest.mark.parametrize("command, ini, work", [
+    ("sweep", SWEEP_INI, "run_sweep"),
+    ("solve", SOLVE_INI, "solve"),
+    ("validate", "[validate]\nseed = 1\n", "run_all"),
+], ids=["sweep", "solve", "validate"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command, ini, work):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, never)
+    missing = tmp_path / "missing" / "out"
+    path = tmp_path / "c.ini"
+    if command == "solve":     # the [output] key, the others the flag
+        path.write_text(ini + f"\n[output]\nout = {missing}\n")
+        flags = []
+    else:
+        path.write_text(ini)
+        flags = ["--out", str(missing)]
+    assert main([command, "--config", str(path)] + flags) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not missing.parent.exists()
 
 
 def test_solve_report(solve_config, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -208,6 +209,33 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", Probed)
     run_sweep(replace(small_config(), parallel=2))
     assert seen == [[1] * len(getters)]
+
+
+def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
+    # the pool forks all of its workers at the first submit, so a worker
+    # count above the block count would start processes with nothing to do
+    seen = []
+
+    class InProcess:
+        def __init__(self, max_workers, **kwargs):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = small_config(blocks=2)
+    serial = run_sweep(cfg)
+    monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", InProcess)
+    pooled = run_sweep(replace(cfg, parallel=64))
+    assert seen == [2]
+    assert multiprocessing.active_children() == []
+    assert [asdict(r) for r in pooled] == [asdict(r) for r in serial]
 
 
 def test_block_is_the_work_unit(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,8 @@ import wcslp.validation as validation_module
 
 from wcslp.constellation import PskConstellation, build_ci_geometry
 from wcslp.realify import build_real_channel, build_real_distortion
-from wcslp.solver import (ProblemInstance, SolverConfig, nominal_slp, phi,
-                          relaxed_objective, solve, solve_batch)
+from wcslp.solver import (BatchSolveResult, ProblemInstance, SolverConfig,
+                          nominal_slp, phi, relaxed_objective, solve, solve_batch)
 from wcslp.validation import (SecularPoleError, SolverState, apgd_t_step,
                               count_secular_roots, mu_bracket, random_instance,
                               random_point, secular_value, solve_mu, update_u,
@@ -395,12 +396,17 @@ def test_instance_validation():
 
 
 def _assert_batch_equals_alone(proto, geoms, cfg):
-    """Solving the slots in one batch equals solving each slot alone."""
+    """Solving the slots in one batch equals solving each slot alone, and
+    ``solve`` is exactly the one-slot batch's row."""
     batch = solve_batch(proto, geoms, cfg)
     for j, geom in enumerate(geoms):
         alone = solve_batch(proto, [geom], cfg)
         report = solve(ProblemInstance(proto.channel, proto.distortion, geom,
                                        proto.beta, proto.epsilon), cfg)
+        for f in fields(BatchSolveResult):
+            np.testing.assert_array_equal(getattr(report, f.name), getattr(alone, f.name)[0],
+                                          err_msg=f.name)
+        assert report.stop_reason == alone.stop_reason[0]
         for single in (alone, report):
             assert single.iterations == batch.iterations[j]
             assert single.converged == batch.converged[j]
