@@ -215,11 +215,12 @@ def write_sweep_csv(config: SweepConfig, records, path: str) -> None:
 
 
 def _out_path(args, data: dict, default: str | None) -> str | None:
-    """``--out``, else ``[output] out``, else ``default``; its directory is
-    checked before any work is done."""
+    """``--out``, else ``[output] out``, else ``default``; checked before
+    any work is done to be a file name in an existing directory."""
     out = args.out or data.get("output", {}).get("out") or default
-    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        raise ConfigError(f"the directory of output path {out!r} does not exist", args.config)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ConfigError(f"output path {out!r} is a directory or lies in a missing one",
+                          args.config)
     return out
 
 

@@ -118,28 +118,24 @@ def test_sweep_echo_block_is_pinned(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("command, ini, work", [
-    ("sweep", SWEEP_INI, "run_sweep"),
-    ("solve", SOLVE_INI, "solve"),
-    ("validate", "[validate]\nseed = 1\n", "run_all"),
-], ids=["sweep", "solve", "validate"])
-def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                        command, ini, work):
+@pytest.mark.parametrize("command, ini, work, in_file, target", [
+    ("sweep", SWEEP_INI, "run_sweep", False, "missing/out"),
+    ("solve", SOLVE_INI, "solve", True, "missing/out"),
+    ("validate", "[validate]\nseed = 1\n", "run_all", False, "missing/out"),
+    ("sweep", SWEEP_INI, "run_sweep", False, "."),
+], ids=["sweep", "solve", "validate", "sweep-to-a-directory"])
+def test_bad_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                               command, ini, work, in_file, target):
     def never(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
     monkeypatch.setattr(cli, work, never)
-    missing = tmp_path / "missing" / "out"
+    out = tmp_path / target      # in a missing directory, or a directory
     path = tmp_path / "c.ini"
-    if command == "solve":     # the [output] key, the others the flag
-        path.write_text(ini + f"\n[output]\nout = {missing}\n")
-        flags = []
-    else:
-        path.write_text(ini)
-        flags = ["--out", str(missing)]
+    path.write_text(ini + (f"\n[output]\nout = {out}\n" if in_file else ""))
+    flags = [] if in_file else ["--out", str(out)]
     assert main([command, "--config", str(path)] + flags) == 1
     assert "config error:" in capsys.readouterr().err
-    assert not missing.parent.exists()
 
 
 def test_solve_report(solve_config, tmp_path):
