@@ -107,14 +107,17 @@ def ci_normals(symbol: int, constellation: PskConstellation) -> np.ndarray:
 
 @dataclass
 class CiGeometry:
-    """CI geometry of one symbol slot across all users.
+    """CI geometry of one symbol slot across all users, or of a stack of slots.
 
-    User i's CI normals are row ``symbols[i]`` of the constellation's table,
-    so the stacked normal matrix A is block diagonal with 2x2 blocks, and
-    ``ds`` = D s stacks the symbols scaled by sigma_i * sqrt(gamma_i).  Every
-    PSK point is an outer point, so the CI target is ds + A^{-1} t with no
-    outer-point mask.  Treat instances as immutable; they are shared freely
-    across workers.
+    ``symbols``, ``gammas`` and ``sigmas`` have shape (n_r,) for one slot and
+    (S, n_r) for S slots.  User i's CI normals are row ``symbols[..., i]`` of
+    the constellation's table, so each slot's stacked normal matrix A is
+    block diagonal with 2x2 blocks, and ``ds`` = D s, of shape (..., 2 n_r),
+    stacks the symbols scaled by sigma_i * sqrt(gamma_i).  Every PSK point is
+    an outer point, so the CI target is ds + A^{-1} t with no outer-point
+    mask.  Indexing a stack gives the geometry of those slots, so iterating
+    it gives one slot's at a time.  Treat instances as immutable; they are
+    shared freely across workers.
     """
 
     symbols: np.ndarray
@@ -125,15 +128,22 @@ class CiGeometry:
 
     def __post_init__(self) -> None:
         scale = self.sigmas * np.sqrt(self.gammas)
-        self.ds = (scale[:, None] * self.constellation.points_real[self.symbols]).ravel()
+        points = scale[..., None] * self.constellation.points_real[self.symbols]
+        self.ds = points.reshape(*self.symbols.shape[:-1], -1)
+
+    def __getitem__(self, slots) -> CiGeometry:
+        if self.symbols.ndim != 2:
+            raise TypeError("one slot's geometry has no slot axis to index")
+        return CiGeometry(self.symbols[slots], self.gammas[slots], self.sigmas[slots],
+                          self.constellation)
 
     @property
     def n_r(self) -> int:
-        return self.symbols.size
+        return self.symbols.shape[-1]
 
     @property
     def a_blocks(self) -> np.ndarray:
-        """The (n_r, 2, 2) diagonal blocks of A; ``a_inv_blocks`` those of A^{-1}."""
+        """The (..., n_r, 2, 2) diagonal blocks of A; ``a_inv_blocks`` those of A^{-1}."""
         return self.constellation.normals[self.symbols]
 
     @property
@@ -143,11 +153,18 @@ class CiGeometry:
 
 def build_ci_geometry(symbols, gammas, sigmas,
                       constellation: PskConstellation) -> CiGeometry:
-    """Geometry for given symbol indices and per-user SNR targets and noise."""
-    symbols = np.atleast_1d(np.asarray(symbols, dtype=int))
-    n_r = symbols.size
-    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n_r,)).copy()
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n_r,)).copy()
+    """Geometry of integer symbol indices, (n_r,) for one slot or (S, n_r)
+    for S slots, with per-user SNR targets and noise deviations that
+    broadcast to that shape."""
+    given = np.atleast_1d(np.asarray(symbols))
+    symbols = given.astype(int)
+    if given.ndim > 2 or given.size == 0:
+        raise ValueError(f"symbols must be a non-empty (n_r,) or (S, n_r) array, "
+                         f"got shape {given.shape}")
+    if not np.array_equal(symbols, given):
+        raise ValueError("symbol indices must be integers")
+    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), symbols.shape).copy()
+    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), symbols.shape).copy()
     if not np.all((gammas > 0) & np.isfinite(gammas)):
         raise ValueError("target SNRs must be positive and finite")
     if not np.all((sigmas > 0) & np.isfinite(sigmas)):

@@ -2,14 +2,14 @@
 
 A coherence block is the unit of work.  Its channel, symbols, distortion and
 noise are drawn once, from a substream derived from (master seed, block
-index).  For each target SNR the block's slot geometries are built once and
-each slot's nominal design is solved once: it depends on neither beta nor
-the scheme, so both nominal schemes and every beta share it.  The robust
-designs of all slots are solved in one batch per beta.  The signals go
-through the block's channel with additive receiver noise, and single-user ML
-detection runs at each receiver.  Identical seeds give identical metrics for
-any degree of parallelism, and comparisons across beta, gamma and scheme
-reuse the same draws.
+index).  For each target SNR the block's geometry is built once, as one
+stack of its slots, and each slot's nominal design is solved once: it
+depends on neither beta nor the scheme, so both nominal schemes and every
+beta share it.  The robust designs of all slots are solved in one batch per
+beta.  The signals go through the block's channel with additive receiver
+noise, and single-user ML detection runs at each receiver.  Identical seeds
+give identical metrics for any degree of parallelism, and comparisons across
+beta, gamma and scheme reuse the same draws.
 """
 
 from __future__ import annotations
@@ -252,43 +252,41 @@ def _block_draws(config: SweepConfig, block_index: int):
     return chan, symbols, w_actual, noise
 
 
-def _run_block(config: SweepConfig, block_index: int) -> list[_BlockTally]:
-    """One coherence block's tally for every (gamma, beta, scheme) cell.
+def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally]:
+    """One coherence block's tallies, keyed (gamma_db, beta, "wc-slp") for
+    wc-slp and (gamma_db, None, scheme) for a nominal scheme.
 
-    Per gamma the slot geometries are built once and each slot's nominal
-    design is solved once: it depends on neither beta nor the scheme, so each
-    nominal scheme's tally serves every beta.  wc-slp runs once per beta.
+    Per gamma the block's geometry is built once and each slot's nominal
+    design is solved once: it depends on neither beta nor the scheme, so
+    each nominal scheme's tally serves every beta.  wc-slp runs once per
+    beta.  A repeated grid entry is run once.
     """
     chan, symbols, w_actual, noise = _block_draws(config, block_index)
     const = PskConstellation(config.constellation_order, config.phase_offset)
     n_sym = len(symbols)
     g_real = RealDistortionMatrix(matrix=np.eye(2 * config.n_t), n_t=config.n_t)
-    tallies = []
-    for gamma_db in config.gamma_db_grid:
-        gamma = 10.0 ** (gamma_db / 10.0)
-        geoms = [build_ci_geometry(row, gamma, config.noise_sigma, const) for row in symbols]
-        tally = partial(_tally, chan.real.matrix, symbols, noise,
-                        np.stack([gm.ds for gm in geoms]), const)
-        nominal = {}
+    tallies = {}
+    for gamma_db in dict.fromkeys(config.gamma_db_grid):
+        geometry = build_ci_geometry(symbols, 10.0 ** (gamma_db / 10.0),
+                                     config.noise_sigma, const)
+        tally = partial(_tally, chan.real.matrix, symbols, noise, geometry.ds, const)
         if set(config.schemes) - {"wc-slp"}:
-            x_nom = np.stack([nominal_slp(chan.real, gm)[0] for gm in geoms])
+            x_nom = np.stack([nominal_slp(chan.real, gm)[0] for gm in geometry])
             powers = np.sum(x_nom * x_nom, axis=1)
             # precoder output G^{-1} x_nom, so the transmitted signal is
             # x_nom + w; power is accounted on the designed signal
             signals = {"nominal-slp": x_nom, "nominal-under-distortion": x_nom + w_actual}
-            nominal = {scheme: tally(signals[scheme], powers, np.ones(n_sym, dtype=bool))
-                       for scheme in config.schemes if scheme in signals}
-        for beta in config.beta_grid:
-            for scheme in config.schemes:
-                if scheme != "wc-slp":
-                    tallies.append(nominal[scheme])
-                    continue
-                proto = ProblemInstance(chan.real, g_real, geoms[0], beta,
+            for scheme in set(config.schemes) & set(signals):
+                tallies[gamma_db, None, scheme] = tally(signals[scheme], powers,
+                                                        np.ones(n_sym, dtype=bool))
+        if "wc-slp" in config.schemes:
+            for beta in dict.fromkeys(config.beta_grid):
+                proto = ProblemInstance(chan.real, g_real, geometry[0], beta,
                                         config.distortion.epsilon)
-                result = solve_batch(proto, geoms, config.solver)
+                result = solve_batch(proto, geometry, config.solver)
                 x_clean = result.u @ g_real.matrix.T + w_actual    # (n_sym, 2 n_t)
-                tallies.append(tally(x_clean, np.sum(result.u * result.u, axis=1),
-                                     result.converged))
+                tallies[gamma_db, beta, "wc-slp"] = tally(
+                    x_clean, np.sum(result.u * result.u, axis=1), result.converged)
     return tallies
 
 
@@ -349,73 +347,59 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     """Evaluate every (gamma, beta, scheme) cell of the configured grid.
 
     A coherence block is the work unit (:func:`_run_block`).  With
     ``parallel > 1`` blocks are fanned out to a pool of at most ``blocks``
-    processes and reduced in block order, so the records are identical for
-    any worker count; each worker runs BLAS on one thread.
-    Each distinct tally is reduced once: a nominal scheme's, shared by every
-    beta, once per (gamma, scheme).
+    processes, and no more than the cores this process may run on, and
+    reduced in block order, so the records are identical for any worker
+    count; each worker runs BLAS on one thread.
+    The blocks' tallies are keyed by cell, and each key is reduced once: a
+    nominal scheme's, shared by every beta, once per (gamma, scheme).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
     run = partial(_run_block, config)
-    workers = min(config.parallel, config.blocks)
+    workers = min(config.parallel, config.blocks, _usable_cores())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             per_block = list(pool.map(run, range(config.blocks)))
     else:
         per_block = [run(b) for b in range(config.blocks)]
-    cells = [(gamma_db, beta, scheme) for gamma_db in config.gamma_db_grid
-             for beta in config.beta_grid for scheme in config.schemes]
-    records, reduced = [], {}     # reduced: the record of each distinct tally
-    for i, (gamma_db, beta, scheme) in enumerate(cells):
-        # a tally _run_block shares between cells is one object in every
-        # block (pickling keeps the sharing), so block 0's identifies it
-        key = id(per_block[0][i])
-        if key in reduced:
-            record = replace(reduced[key], beta=beta)
-        else:
-            record = reduced[key] = _reduce_cell(
-                config, gamma_db, beta, scheme, [tallies[i] for tallies in per_block])
-        records.append(record)
-    return records
+    reduced = {key: _reduce_cell(config, *key, [tallies[key] for tallies in per_block])
+               for key in per_block[0]}
+    return [replace(reduced[gamma_db, beta if scheme == "wc-slp" else None, scheme],
+                    gamma_db=gamma_db, beta=beta)
+            for gamma_db in config.gamma_db_grid for beta in config.beta_grid
+            for scheme in config.schemes]
 
 
-def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float, scheme: str,
+def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, scheme: str,
                  tallies: list[_BlockTally]) -> MetricsRecord:
-    bits = sum(t.bits for t in tallies)
-    bit_errors = sum(t.bit_errors for t in tallies)
     used = sum(t.used_symbols for t in tallies)
-    failures = sum(t.failures for t in tallies)
-    power_sum = sum(t.power_sum for t in tallies)
-    violations = sum(t.violations for t in tallies)
-    pairs = sum(t.margin_pairs for t in tallies)
-
-    if used == 0:
-        return MetricsRecord(gamma_db=gamma_db, beta=beta, scheme=scheme,
-                             mean_power=math.nan, ber=math.nan,
-                             mi_bits_per_user=math.nan,
-                             energy_efficiency=math.nan, blocks=config.blocks,
-                             symbols_per_block=config.symbols_per_block,
-                             solver_failures=failures, seed=config.seed)
-
-    ber = bit_errors / bits
-    mean_power = power_sum / used
-    received = np.concatenate([t.received for t in tallies], axis=1)
-    sent = np.concatenate([t.sent for t in tallies], axis=0)
-    mi_vals = [estimate_mi(received[i], sent[:, i], config.constellation_order,
-                           config.mi_bins)
-               for i in range(config.n_r)]
-    mi = float(np.mean(mi_vals))
-    rate_factor = (1.0 - ber) if config.ee_complement else ber
-    ee = energy_efficiency(rate_factor, mi, mean_power)
-    return MetricsRecord(gamma_db=gamma_db, beta=beta, scheme=scheme,
-                         mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
-                         energy_efficiency=ee, blocks=config.blocks,
+    metrics = dict.fromkeys(("mean_power", "ber", "mi_bits_per_user", "energy_efficiency"),
+                            math.nan)
+    if used:
+        ber = sum(t.bit_errors for t in tallies) / sum(t.bits for t in tallies)
+        mean_power = sum(t.power_sum for t in tallies) / used
+        received = np.concatenate([t.received for t in tallies], axis=1)
+        sent = np.concatenate([t.sent for t in tallies], axis=0)
+        mi = float(np.mean([estimate_mi(received[i], sent[:, i], config.constellation_order,
+                                        config.mi_bins) for i in range(config.n_r)]))
+        rate_factor = (1.0 - ber) if config.ee_complement else ber
+        metrics = dict(mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
+                       energy_efficiency=energy_efficiency(rate_factor, mi, mean_power),
+                       ci_violation_rate=(sum(t.violations for t in tallies)
+                                          / sum(t.margin_pairs for t in tallies)))
+    return MetricsRecord(gamma_db=gamma_db, beta=beta, scheme=scheme, blocks=config.blocks,
                          symbols_per_block=config.symbols_per_block,
-                         solver_failures=failures, seed=config.seed,
-                         ci_violation_rate=violations / pairs)
+                         solver_failures=sum(t.failures for t in tallies), seed=config.seed,
+                         **metrics)

@@ -150,41 +150,24 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_sq(x))
 
 
-@dataclass
-class _Slots:
-    """CI constants of a stack of symbol slots, one row per slot.
-
-    The matrices are block diagonal with 2x2 blocks (one per user), so only
-    the blocks' coefficients are kept (:func:`_coefficients`, shape
-    (2, S, n_r)), each indexed from a table of the slots' constellation;
-    the momentum is a constant of that constellation.
-    """
-
-    ds: np.ndarray              # (S, 2 n_r)  D s
-    a_inv: np.ndarray           # A^{-1}
-    step: np.ndarray            # sigma_min^2 A^{-T}
-    b: np.ndarray               # I - sigma_min^2 A^{-T} A^{-1}
-    momentum: float
-
-    def take(self, rows) -> "_Slots":
-        return _Slots(self.ds[rows], self.a_inv[:, rows], self.step[:, rows],
-                      self.b[:, rows], self.momentum)
-
-
-def _slots(geometries) -> _Slots:
-    if not geometries:
-        raise ValueError("a batch needs at least one slot; got an empty batch")
-    const = geometries[0].constellation
-    if any(gm.constellation != const for gm in geometries):
-        raise ValueError("all slots of a batch must share one constellation")
-    symbols = np.stack([gm.symbols for gm in geometries])
+def _ci_coefficients(geometry: CiGeometry) -> list:
+    """Block coefficients (:func:`_coefficients`, (2, S, n_r) for S slots; one
+    slot is a stack of one) of A^{-1}, of the slack step's S = sigma_min^2
+    A^{-T} and of B = I - S A^{-1}, indexed from the constellation's tables,
+    and the step's momentum."""
+    const = geometry.constellation
     a_inv_t = np.swapaxes(const.normals_inv, 1, 2)
     sigma_min_sq = const.sigma_min ** 2
     b = np.eye(2) - sigma_min_sq * (a_inv_t @ const.normals_inv)
-    return _Slots(ds=np.stack([gm.ds for gm in geometries]),
-                  a_inv=_coefficients(const.normals_inv)[:, symbols],
-                  step=_coefficients(sigma_min_sq * a_inv_t)[:, symbols],
-                  b=_coefficients(b)[:, symbols], momentum=_momentum(const))
+    symbols = np.atleast_2d(geometry.symbols)
+    return [_coefficients(table)[:, symbols] for table in
+            (const.normals_inv, sigma_min_sq * a_inv_t, b)] + [_momentum(const)]
+
+
+def _one_slot(geometry: CiGeometry) -> CiGeometry:
+    if geometry.symbols.ndim != 1:
+        raise ValueError(f"expected one slot's geometry, got {geometry.symbols.shape} symbols")
+    return geometry
 
 
 @dataclass(repr=False)
@@ -199,8 +182,7 @@ class ProblemInstance:
     - ``phi_ops`` = [Y^T | (G^{-1} Y)^T | K^T], with Y = P^{-1} H^T and
       K = H P^{-1} H^T = H Y, so that one product Phi @ phi_ops of stacked
       rows Phi(t) gives y = Y Phi(t), G^{-1} y and K Phi(t) at once, and
-      its first two column blocks ``u_ops``, all the loop's block ends read;
-    - the slack-step constants of its own slot (``slots``).
+      its first two column blocks ``u_ops``, all the loop's block ends read.
     Treat instances as immutable and share them freely.
     """
 
@@ -220,7 +202,7 @@ class ProblemInstance:
                              f"got {self.epsilon}")
         if self.channel.n_t != self.distortion.n_t:
             raise ValueError("channel / distortion dimension mismatch")
-        if self.geometry.n_r != self.channel.n_r:
+        if _one_slot(self.geometry).n_r != self.channel.n_r:
             raise ValueError("geometry / channel user-count mismatch")
         self.h = self.channel.matrix
         self.g = self.distortion.matrix
@@ -236,7 +218,6 @@ class ProblemInstance:
         self.u_ops = np.hstack([y_op.T, lu_solve(self._g_lu, y_op).T])
         self.phi_ops = np.hstack([self.u_ops, (self.h @ y_op).T])
         self.ds = self.geometry.ds
-        self.slots = _slots([self.geometry])
 
     def solve_g(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x for each row x of ``x``."""
@@ -248,7 +229,7 @@ def phi(t, geometry: CiGeometry) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise ValueError("slack t must be finite and componentwise non-negative")
-    return geometry.ds + (geometry.a_inv_blocks @ t.reshape(-1, 2, 1)).ravel()
+    return _one_slot(geometry).ds + (geometry.a_inv_blocks @ t.reshape(-1, 2, 1)).ravel()
 
 
 def relaxed_objective(u, t, w, instance: ProblemInstance) -> float | np.ndarray:
@@ -271,31 +252,31 @@ def _degenerate_w(count: int, instance: ProblemInstance) -> np.ndarray:
     return np.tile(instance.epsilon * instance.evecs[:, -1], (count, 1))
 
 
-def _phi_product(instance, slots: _Slots, t, ops=None):
+def _phi_product(instance, a_inv, ds, t, ops=None):
     """Phi(t) = D s + A^{-1} t and its product with the instance's operators,
     [y | G^{-1} y | K Phi(t)] with y = P^{-1} H^T Phi(t): the u-step's
     u = G^{-1} y - G^{-1} w and the next slack step's K Phi(t) = H y; with
     ``ops`` = ``instance.u_ops``, only [y | G^{-1} y].  ``t`` may stack
-    iterates on a leading axis."""
-    phi_t = np.add(_bmul(slots.a_inv, t), slots.ds)
+    iterates on a leading axis, and ``a_inv`` holds A^{-1}'s coefficients."""
+    phi_t = np.add(_bmul(a_inv, t), ds)
     return phi_t, phi_t @ (instance.phi_ops if ops is None else ops)
 
 
-def _recurrence_maps(instance, slots: _Slots):
+def _recurrence_maps(instance, a_inv, step, b, momentum: float):
     """Per-row matrices (M1, M2) of the slack recurrence (see :func:`_bcd`),
     transposed to act on row vectors: M1 = (1 + momentum) B + S K A^{-1} and
     M2 = -momentum B, or None when the momentum is 0.  Each is its block
     products applied to the identity, whose basis vectors are stacked on a
     leading axis; so column i of every row's matrix comes out in entry i."""
-    count, m = slots.ds.shape
+    count, m = a_inv.shape[1], 2 * a_inv.shape[2]
     eye = np.ascontiguousarray(np.broadcast_to(np.eye(m)[:, None], (m, count, m)))
-    b_cols = _bmul(slots.b, eye)
-    k_cols = _bmul(slots.a_inv, eye) @ instance.phi_ops[:, 2 * len(instance.g):]
+    b_cols = _bmul(b, eye)
+    k_cols = _bmul(a_inv, eye) @ instance.phi_ops[:, 2 * len(instance.g):]
 
     def row_form(cols):
         return np.ascontiguousarray(cols.transpose(1, 0, 2))
-    m1 = row_form(_bmul(slots.step, k_cols) + (1.0 + slots.momentum) * b_cols)
-    return m1, row_form(-slots.momentum * b_cols) if slots.momentum else None
+    m1 = row_form(_bmul(step, k_cols) + (1.0 + momentum) * b_cols)
+    return m1, row_form(-momentum * b_cols) if momentum else None
 
 
 def _block_operators(m1, m2, c_pm, masks, steps: int) -> np.ndarray:
@@ -359,9 +340,9 @@ _BLOCK = 16
 _FAST_FORWARD_ROWS = 8
 
 
-def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
+def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
          trace: list | None = None) -> BatchSolveResult:
-    """The block coordinate ascent-descent loop over stacked symbol slots.
+    """The block coordinate ascent-descent loop over the slots of a geometry.
 
     Each row starts from t = z = 0 and u equal to the regularised channel
     inversion of D s (the w = 0 closed form), then repeats the w-step, the
@@ -405,9 +386,9 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     and at k = 1, where t_0 = z_0 = 0, it is c_1 = S (K D s - D s + H w_1).
     M1 and M2 (:func:`_recurrence_maps`; M2 is skipped at zero momentum, as
     for QPSK) and the constants are built once per call, and the rows that
-    stop leave them with the other working arrays.  An iteration is one
-    small matmul per row (two with momentum), the constant and the
-    projection on t >= 0.
+    stop leave them, D s and A^{-1} with the other working arrays.  An
+    iteration is one small matmul per row (two with momentum), the constant
+    and the projection on t >= 0.
 
     The recurrence runs ``_BLOCK`` iterations at a time (more while the
     fast-forward below serves), storing t_k in a buffer reused across
@@ -453,7 +434,9 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     After a block the fast-forward did not serve, the length is ``_BLOCK``
     again.
     """
-    count, m = slots.ds.shape
+    ds = np.atleast_2d(geometry.ds)
+    a_inv, step, b, momentum = _ci_coefficients(geometry)
+    count, m = ds.shape
     n = len(instance.g)
     eps, tol2 = instance.epsilon, config.outer_tol ** 2
     h_t = instance.h.T
@@ -464,7 +447,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
     # (both the initial point in the first block, which makes the
     # two-iteration window equal the one-iteration one at k = 1)
     u_buf, t_buf = np.empty((longest + 2, count, n)), np.zeros((longest + 2, count, m))
-    prod = _phi_product(instance, slots, t_buf[0])[1]
+    prod = _phi_product(instance, a_inv, ds, t_buf[0])[1]
     u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
     # w_k, G^{-1} w_k and the constants c on a leading axis indexed by flip:
     # w_k = +-w_1 alternates with k
@@ -474,10 +457,9 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
         w1 = _degenerate_w(count, instance)
         g_inv_w1, h_w1 = instance.solve_g(w1), w1 @ h_t
         w_pm, g_inv_w_pm = np.array((w1, -w1)), np.array((g_inv_w1, -g_inv_w1))
-    c_first = _bmul(slots.step, k_phi + (h_w1 - slots.ds))      # w_0 = 0
-    c_pm = _bmul(slots.step, k_phi + np.array((2.0 * h_w1 - slots.ds,
-                                               -2.0 * h_w1 - slots.ds)))
-    m1, m2 = _recurrence_maps(instance, slots)
+    c_first = _bmul(step, k_phi + (h_w1 - ds))      # w_0 = 0
+    c_pm = _bmul(step, k_phi + np.array((2.0 * h_w1 - ds, -2.0 * h_w1 - ds)))
+    m1, m2 = _recurrence_maps(instance, a_inv, step, b, momentum)
     out = BatchSolveResult(u=np.empty((count, n)), t=np.empty((count, m)),
                            w=np.empty((count, n)),
                            iterations=np.zeros(count, dtype=int),
@@ -515,7 +497,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
                 active = t_b[2:] > 0
                 if np.array_equal(active[2:], active[:-2]):
                     masks = active[-2:]
-        phi_b, prod_b = _phi_product(instance, slots, t_b[2:], instance.u_ops)
+        phi_b, prod_b = _phi_product(instance, a_inv, ds, t_b[2:], instance.u_ops)
 
         # the block's iterations k = start .. start + size - 1, stacked on
         # the leading axis
@@ -548,7 +530,7 @@ def _bcd(instance: ProblemInstance, slots: _Slots, config: SolverConfig,
             if sel.all():
                 return out
             keep = ~sel
-            rows, slots = rows[keep], slots.take(keep)
+            rows, ds, a_inv = rows[keep], ds[keep], a_inv[:, keep]
             w_pm, g_inv_w_pm, c_pm = w_pm[:, keep], g_inv_w_pm[:, keep], c_pm[:, keep]
             m1, m2 = m1[keep], None if m2 is None else m2[keep]
             fp2_max, fp2 = fp2_max[keep], fp2[:, keep]
@@ -583,25 +565,24 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
     """
     config = config or SolverConfig()
     trace = []
-    res = _bcd(instance, instance.slots, config, trace)
+    res = _bcd(instance, instance.geometry, config, trace)
     row = {f.name: getattr(res, f.name)[0] for f in fields(res)}
     row = {name: value if np.ndim(value) else value.item() for name, value in row.items()}
     objective = relaxed_objective(row["u"], row["t"], -row["w"], instance)
     return SolveReport(**row, objective=objective, trace=np.concatenate(trace)[:, 0])
 
 
-def solve_batch(proto: ProblemInstance, geometries,
+def solve_batch(proto: ProblemInstance, geometry: CiGeometry,
                 config: SolverConfig | None = None) -> BatchSolveResult:
     """Run the solver loop for many symbol slots of one channel at once.
 
     All slots share the channel, distortion matrix, beta and epsilon of
-    ``proto``; ``geometries`` supplies one CiGeometry per slot, all of one
-    constellation, whose tables give every slot's slack-step constants.  Row
-    j goes through the same update sequence as :func:`solve` on slot j and
-    leaves the loop when its own termination test fires.  The link simulator
-    calls it once per (block, gamma, beta) with the block's slots.
+    ``proto``; ``geometry`` stacks their CI geometries.  Row j goes through
+    the same update sequence as :func:`solve` on ``geometry[j]`` and leaves
+    the loop when its own termination test fires.  The link simulator calls
+    it once per (block, gamma, beta) with the block's geometry.
     """
-    return _bcd(proto, _slots(list(geometries)), config or SolverConfig())
+    return _bcd(proto, geometry, config or SolverConfig())
 
 
 def nominal_slp(channel: RealChannel, geometry: CiGeometry
@@ -618,7 +599,7 @@ def nominal_slp(channel: RealChannel, geometry: CiGeometry
     """
     l_inv, l_inv_h = channel.whitener
     m = len(l_inv)
-    design = (l_inv.reshape(m, -1, 1, 2) @ geometry.a_inv_blocks).reshape(m, m)
+    design = (l_inv.reshape(m, -1, 1, 2) @ _one_slot(geometry).a_inv_blocks).reshape(m, m)
     target = -(l_inv @ geometry.ds)
     t, _ = nnls(design, target)
     return l_inv_h.T @ (design @ t - target), t

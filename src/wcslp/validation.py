@@ -30,10 +30,10 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import brentq, nnls
 
-from .constellation import PskConstellation, build_ci_geometry
+from .constellation import CiGeometry, PskConstellation, build_ci_geometry
 from .realify import build_real_channel, build_real_distortion
-from .solver import (ProblemInstance, SolverConfig, _bmul, _degenerate_w,
-                     _phi_product, _Slots, _sq, phi, relaxed_objective, solve)
+from .solver import (ProblemInstance, SolverConfig, _bmul, _ci_coefficients, _degenerate_w,
+                     _phi_product, _sq, phi, relaxed_objective, solve)
 
 # relative size of q below which the inner maximisation is treated as the
 # degenerate (pure eigenvector) case
@@ -235,11 +235,12 @@ class SolverState:
     w: np.ndarray
 
 
-def _t_step(slots: _Slots, r, t, z):
-    """Accelerated projected-gradient step on the slack, given the residual
-    r = H (G u + w) - D s."""
-    t_new = np.maximum(_bmul(slots.b, z) + _bmul(slots.step, r), 0.0)
-    return t_new, t_new + slots.momentum * (t_new - t)
+def _t_step(geometry: CiGeometry, r, t, z):
+    """Accelerated projected-gradient step on the slack of each slot of
+    ``geometry``, given the residual r = H (G u + w) - D s."""
+    _, step, b, momentum = _ci_coefficients(geometry)
+    t_new = np.maximum(_bmul(b, z) + _bmul(step, r), 0.0)
+    return t_new, t_new + momentum * (t_new - t)
 
 
 def apgd_t_step(state: SolverState, instance: ProblemInstance
@@ -251,7 +252,7 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
     the momentum extrapolation.
     """
     x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
-    t_new, z_new = _t_step(instance.slots, x @ instance.h.T - instance.slots.ds,
+    t_new, z_new = _t_step(instance.geometry, x @ instance.h.T - instance.ds,
                            np.asarray(state.t)[None],
                            np.ascontiguousarray(state.z, dtype=float)[None])
     return t_new[0], z_new[0]
@@ -260,7 +261,7 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
 def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
     """Closed-form minimiser u = G^{-1} P^{-1} H^T Phi(t) - G^{-1} w."""
     g_inv_w = instance.solve_g(np.asarray(w, dtype=float)[None])
-    prod = _phi_product(instance, instance.slots,
+    prod = _phi_product(instance, _ci_coefficients(instance.geometry)[0], instance.ds,
                         np.ascontiguousarray(t, dtype=float)[None])[1]
     n = len(instance.g)
     return prod[0, n:2 * n] - g_inv_w[0]

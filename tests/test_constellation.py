@@ -134,6 +134,32 @@ def test_geometry_rejects_bad_inputs():
             build_ci_geometry([0, 1], [bad, 4.0], [1.0, 1.0], QPSK)
         with pytest.raises(ValueError):
             build_ci_geometry([0, 1], [4.0, 4.0], [1.0, bad], QPSK)
+    with pytest.raises(ValueError, match="got shape"):      # symbols on three axes
+        build_ci_geometry(np.zeros((2, 3, 2), dtype=int), 1.0, 1.0, QPSK)
+    with pytest.raises(ValueError, match="got shape"):      # a stack of no slots
+        build_ci_geometry(np.zeros((0, 2), dtype=int), 1.0, 1.0, QPSK)
+    with pytest.raises(ValueError, match="integers"):
+        build_ci_geometry([1.7, 0.2], 4.0, 1.0, QPSK)
+
+
+def test_stacked_geometry_rows_equal_the_slots_alone():
+    # row j of a stack is the geometry of slot j; indexing returns it, and
+    # one slot's geometry has no slot axis to index
+    rng = np.random.default_rng(5)
+    const = PskConstellation(8, rng.uniform(0.0, 2.0 * math.pi))
+    symbols = rng.integers(0, 8, (6, 4))
+    gammas, sigmas = rng.uniform(0.5, 40.0, 4), rng.uniform(0.1, 3.0, 4)
+    stack = build_ci_geometry(symbols, gammas, sigmas, const)
+    assert stack.ds.shape == (6, 8) and stack.n_r == 4
+    for j, row in enumerate(stack):
+        alone = build_ci_geometry(symbols[j], gammas, sigmas, const)
+        for geom in (row, stack[j]):
+            for name in ("symbols", "gammas", "sigmas", "ds", "a_inv_blocks"):
+                np.testing.assert_array_equal(getattr(geom, name), getattr(alone, name),
+                                              err_msg=name)
+    assert j == 5
+    with pytest.raises(TypeError, match="no slot axis"):
+        stack[0][0]
 
 
 def test_geometry_permutation_equivariance():

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -213,7 +214,8 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
     # the pool forks all of its workers at the first submit, so a worker
-    # count above the block count would start processes with nothing to do
+    # count above the block count would start processes with nothing to do,
+    # and one above the core count processes that only compete for cores
     seen = []
 
     class InProcess:
@@ -229,19 +231,27 @@ def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    cfg = small_config(blocks=2)
+    cfg = small_config(blocks=3)
     serial = run_sweep(cfg)
     monkeypatch.setattr(simulator_module, "ProcessPoolExecutor", InProcess)
-    pooled = run_sweep(replace(cfg, parallel=64))
+    for cores, workers in ((2, 2), (8, 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)),
+                            raising=False)
+        pooled = run_sweep(replace(cfg, parallel=64))
+        assert seen.pop() == workers
+        assert [asdict(r) for r in pooled] == [asdict(r) for r in serial]
+    # without an affinity mask, the machine's core count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_sweep(replace(cfg, parallel=64))
     assert seen == [2]
     assert multiprocessing.active_children() == []
-    assert [asdict(r) for r in pooled] == [asdict(r) for r in serial]
 
 
 def test_block_is_the_work_unit(monkeypatch):
     calls = Counter()
-    counted_calls = [(simulator_module, name)
-                     for name in ("_block_draws", "nominal_slp", "solve_batch")]
+    counted_calls = [(simulator_module, name) for name in
+                     ("_block_draws", "build_ci_geometry", "nominal_slp", "solve_batch")]
     for module, name in counted_calls + [(realify_module, "cholesky")]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -252,6 +262,7 @@ def test_block_is_the_work_unit(monkeypatch):
     gammas, betas = cfg.gamma_db_grid, cfg.beta_grid
     assert calls["_block_draws"] == cfg.blocks
     assert calls["cholesky"] == cfg.blocks      # one factor per channel
+    assert calls["build_ci_geometry"] == cfg.blocks * len(gammas)   # one stack of slots
     assert calls["nominal_slp"] == cfg.blocks * len(gammas) * cfg.symbols_per_block
     assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
     got = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
@@ -266,8 +277,9 @@ def test_block_is_the_work_unit(monkeypatch):
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
     # a nominal scheme's tally serves every beta: one MI histogram per user
-    # and (gamma, scheme), where wc-slp needs one per (gamma, beta); the
-    # sharing survives the pool's pickling
+    # and (gamma, scheme), where wc-slp needs one per (gamma, beta); a
+    # repeated grid entry is a cell already reduced, and the records read
+    # the same as the grid's without repeats, put in the grid's order
     calls = Counter()
 
     def counted(*args, _original=simulator_module.estimate_mi, **kwargs):
@@ -278,14 +290,24 @@ def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
     cfg = small_config(beta_grid=(1.0, 10.0, 100.0), parallel=parallel)
     records = run_sweep(cfg)
     n_nominal = len(cfg.schemes) - 1
-    assert calls["estimate_mi"] == (len(cfg.gamma_db_grid)
-                                    * (len(cfg.beta_grid) + n_nominal) * cfg.n_r)
+    reductions = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + n_nominal) * cfg.n_r
+    assert calls["estimate_mi"] == reductions
     per_block = [simulator_module._run_block(cfg, b) for b in range(cfg.blocks)]
     cells = [(g, b, s) for g in cfg.gamma_db_grid for b in cfg.beta_grid
              for s in cfg.schemes]
-    per_cell = [simulator_module._reduce_cell(cfg, *cell, [t[i] for t in per_block])
-                for i, cell in enumerate(cells)]
+    per_cell = [simulator_module._reduce_cell(
+        cfg, g, b, s, [t[g, b if s == "wc-slp" else None, s] for t in per_block])
+        for g, b, s in cells]
     assert [asdict(r) for r in records] == [asdict(r) for r in per_cell]
+
+    calls.clear()
+    repeats = replace(cfg, gamma_db_grid=(12.0, 4.0, 12.0), beta_grid=(10.0, 1.0, 10.0, 100.0))
+    repeated = run_sweep(repeats)
+    assert calls["estimate_mi"] == reductions
+    by_cell = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
+    assert [asdict(r) for r in repeated] == [
+        by_cell[g, b, s] for g in repeats.gamma_db_grid for b in repeats.beta_grid
+        for s in repeats.schemes]
 
 
 def test_estimate_mi_rejects_unknown_symbols():

@@ -46,6 +46,8 @@ def test_phi_examples():
     np.testing.assert_allclose(phi(np.array([1.0, 2.0]), geom), [root2 + 2, root2 + 1])
     with pytest.raises(ValueError):
         phi(np.array([-0.1, 0.0]), geom)
+    with pytest.raises(ValueError, match="one slot"):
+        phi(np.zeros(2), build_ci_geometry([[0], [1]], 4.0, 1.0, QPSK))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -254,7 +256,7 @@ def test_solve_invariants_on_moderate_instance():
     assert report.converged
     assert report.t.min() >= 0
     assert np.linalg.norm(report.w) == pytest.approx(0.56, rel=1e-6)
-    batch = solve_batch(inst, [inst.geometry])
+    batch = solve_batch(inst, inst.geometry)
     for w in (report.w, batch.w[0]):
         assert abs(np.linalg.norm(w) / 0.56 - 1.0) <= 1e-6
     assert report.fixed_point_residual_max <= 1e-10
@@ -273,8 +275,8 @@ def test_solve_batch_matches_scalar_solve():
     h = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / math.sqrt(2)
     chan = build_real_channel(h)
     g = build_real_distortion(np.eye(4, dtype=complex))
-    geoms = [build_ci_geometry(rng.integers(0, 4, 4), np.full(4, 10.0),
-                               np.ones(4), QPSK) for _ in range(6)]
+    geoms = build_ci_geometry(np.stack([rng.integers(0, 4, 4) for _ in range(6)]),
+                              10.0, 1.0, QPSK)
     proto = ProblemInstance(chan, g, geoms[0], 1.0, 0.56)
     cfg = SolverConfig(max_iterations=500, outer_tol=1e-6)
     batch = solve_batch(proto, geoms, cfg)
@@ -358,6 +360,10 @@ def test_nominal_slp_rejects_rank_deficient():
     for _ in range(2):  # the channel caches no failed factorisation
         with pytest.raises(ValueError):
             nominal_slp(chan, geom)
+    # a stack of 2 n_r slots would broadcast against the whitener's pairs
+    with pytest.raises(ValueError, match="one slot"):
+        nominal_slp(build_real_channel(np.eye(2, dtype=complex)),
+                    build_ci_geometry(np.zeros((4, 2), dtype=int), 4.0, 1.0, QPSK))
 
 
 def test_count_secular_roots_scalar():
@@ -393,14 +399,17 @@ def test_instance_validation():
         ProblemInstance(chan, build_real_distortion([[1.0 + 0j]]), geom, -1.0, 0.1)
     with pytest.raises(ValueError):
         ProblemInstance(chan, build_real_distortion([[1.0 + 0j]]), geom, 1.0, -0.1)
+    with pytest.raises(ValueError, match="one slot"):
+        ProblemInstance(chan, build_real_distortion([[1.0 + 0j]]),
+                        build_ci_geometry([[0], [1]], 4.0, 1.0, QPSK), 1.0, 0.1)
 
 
 def _assert_batch_equals_alone(proto, geoms, cfg):
-    """Solving the slots in one batch equals solving each slot alone, and
-    ``solve`` is exactly the one-slot batch's row."""
+    """Solving the slots of a stacked geometry in one batch equals solving
+    each slot alone, and ``solve`` is exactly the one-slot batch's row."""
     batch = solve_batch(proto, geoms, cfg)
     for j, geom in enumerate(geoms):
-        alone = solve_batch(proto, [geom], cfg)
+        alone = solve_batch(proto, geoms[j:j + 1], cfg)
         report = solve(ProblemInstance(proto.channel, proto.distortion, geom,
                                        proto.beta, proto.epsilon), cfg)
         for f in fields(BatchSolveResult):
@@ -425,8 +434,8 @@ def _batch_problem(seed, n, slots, beta, eps, cond=None):
     if cond is not None:
         left, _, right = np.linalg.svd(h)
         h = left @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ right
-    geoms = [build_ci_geometry(rng.integers(0, 4, n), np.full(n, 10.0), np.ones(n), QPSK)
-             for _ in range(slots)]
+    geoms = build_ci_geometry(np.stack([rng.integers(0, 4, n) for _ in range(slots)]),
+                              10.0, 1.0, QPSK)
     proto = ProblemInstance(build_real_channel(h),
                             build_real_distortion(np.eye(n, dtype=complex)),
                             geoms[0], beta, eps)
@@ -439,7 +448,7 @@ def test_batch_rows_stop_independently():
     batch = _assert_batch_equals_alone(proto, geoms,
                                        SolverConfig(max_iterations=40, outer_tol=1e-6))
     assert len(set(batch.iterations[batch.converged].tolist())) > 1
-    assert 0 < np.sum(~batch.converged) < len(geoms)
+    assert 0 < np.sum(~batch.converged) < len(geoms.symbols)
     assert np.all(batch.iterations[~batch.converged] == 40)
 
 
@@ -456,25 +465,19 @@ def test_batch_equals_alone_when_rounding_lifts_q_at_the_start():
     # The first w-step must still be the degenerate one on every row, or w
     # would follow the rounding, which differs between batch sizes.
     proto, geoms = _batch_problem(0, 3, 12, 1e6, 0.56, cond=1e3)
-    slots = solver_module._slots(geoms)
-    phi0, prod0 = solver_module._phi_product(proto, slots, np.zeros((len(geoms), 6)))
+    a_inv = solver_module._ci_coefficients(geoms)[0]
+    phi0, prod0 = solver_module._phi_product(proto, a_inv, geoms.ds, np.zeros((12, 6)))
     u0 = prod0[:, 6:12]             # G^{-1} y at w = 0
     rounded_flat = validation_module._w_parts(proto, u0 @ proto.g.T, phi0 @ proto.h)[2]
-    assert 0 < np.sum(rounded_flat) < len(geoms)
+    assert 0 < np.sum(rounded_flat) < 12
     _assert_batch_equals_alone(proto, geoms, SolverConfig(max_iterations=30, outer_tol=1e-6))
 
 
-def test_solve_batch_rejects_mixed_constellations():
-    proto, geoms = _batch_problem(16, 3, 4, 10.0, 0.56)
-    psk8 = build_ci_geometry([0, 5, 7], np.full(3, 10.0), np.ones(3), PskConstellation(8))
-    with pytest.raises(ValueError, match="one constellation"):
-        solve_batch(proto, geoms + [psk8])
-
-
 def test_solve_batch_rejects_an_empty_batch():
-    proto, _ = _batch_problem(16, 3, 4, 10.0, 0.56)
-    with pytest.raises(ValueError, match="empty batch"):
-        solve_batch(proto, [])
+    # a batch is a stacked geometry, and a stack of no slots is not built
+    with pytest.raises(ValueError, match="got shape"):
+        build_ci_geometry(np.zeros((0, 3), dtype=int), 10.0, 1.0, QPSK)
+
 
 
 def test_root_search_certifies_a_sign_change():
@@ -558,19 +561,18 @@ def test_complex_block_products_equal_the_dense_ones(order):
     # alpha z + beta conj(z) on the interleaved pairs is the 2x2 block product
     rng = np.random.default_rng(order)
     const = PskConstellation(order, rng.uniform(0.0, 2.0 * math.pi))
-    geoms = [build_ci_geometry(rng.integers(0, order, 5), np.full(5, 3.0), np.ones(5),
-                               const) for _ in range(7)]
-    slots = solver_module._slots(geoms)
-    symbols = np.stack([gm.symbols for gm in geoms])
-    v = rng.standard_normal((len(geoms), 10))
+    geoms = build_ci_geometry(np.stack([rng.integers(0, order, 5) for _ in range(7)]),
+                              3.0, 1.0, const)
+    a_inv, step, b, _ = solver_module._ci_coefficients(geoms)
+    v = rng.standard_normal((7, 10))
     sigma2 = const.sigma_min ** 2
-    a = solver_module._coefficients(const.normals)[:, symbols]
+    a = solver_module._coefficients(const.normals)[:, geoms.symbols]
     a_dense = [block_diag(*gm.a_blocks) for gm in geoms]
     a_inv_dense = [block_diag(*gm.a_inv_blocks) for gm in geoms]
     for coef, dense in ((a, a_dense),
-                        (slots.a_inv, a_inv_dense),
-                        (slots.step, [sigma2 * m.T for m in a_inv_dense]),
-                        (slots.b, [np.eye(10) - sigma2 * (m.T @ m) for m in a_inv_dense])):
+                        (a_inv, a_inv_dense),
+                        (step, [sigma2 * m.T for m in a_inv_dense]),
+                        (b, [np.eye(10) - sigma2 * (m.T @ m) for m in a_inv_dense])):
         expected = np.stack([m @ row for m, row in zip(dense, v)])
         scale = np.abs(dense).max() * np.abs(v).max()
         np.testing.assert_allclose(solver_module._bmul(coef, v), expected,
@@ -582,13 +584,13 @@ def test_qpsk_slack_step_is_a_projection():
     # table's rounding and there is no momentum, so the step is
     # max(A^{-T} r, 0) whatever the momentum iterate z
     rng = np.random.default_rng(17)
-    geoms = [build_ci_geometry(rng.integers(0, 4, 3), np.full(3, 3.0), np.ones(3), QPSK)
-             for _ in range(4)]
-    slots = solver_module._slots(geoms)
-    assert slots.momentum == 0.0
-    assert np.abs(slots.b).max() <= 1e-16
+    geoms = build_ci_geometry(np.stack([rng.integers(0, 4, 3) for _ in range(4)]),
+                              3.0, 1.0, QPSK)
+    _, _, b, momentum = solver_module._ci_coefficients(geoms)
+    assert momentum == 0.0
+    assert np.abs(b).max() <= 1e-16
     r, t, z = rng.standard_normal((3, 4, 6))
-    t_new, z_new = validation_module._t_step(slots, r, t, z)
+    t_new, z_new = validation_module._t_step(geoms, r, t, z)
     expected = np.maximum(np.stack([block_diag(*gm.a_inv_blocks).T @ row
                                     for gm, row in zip(geoms, r)]), 0.0)
     np.testing.assert_allclose(t_new, expected, rtol=0, atol=1e-15 * np.abs(r).max())
@@ -616,7 +618,8 @@ def test_loop_residual_is_the_closed_form(n):
                 inst = random_instance(rng, n, beta=beta, eps=eps, random_g=random_g)
                 h, g, ds = inst.h, inst.g, inst.ds
                 w1 = solve(inst, SolverConfig(max_iterations=1)).w
-                k_phi0 = solver_module._phi_product(inst, inst.slots,
+                a_inv = solver_module._ci_coefficients(inst.geometry)[0]
+                k_phi0 = solver_module._phi_product(inst, a_inv, inst.ds,
                                                     np.zeros((1, 2 * n)))[1][0, 4 * n:]
                 u0 = update_u(np.zeros(2 * n), np.zeros(2 * n), inst)
                 check(k_phi0 - ds + h @ w1, h @ g @ u0, h @ w1, ds,
@@ -624,7 +627,7 @@ def test_loop_residual_is_the_closed_form(n):
                 for k in (1, 2, 5):
                     rep = solve(inst, SolverConfig(max_iterations=k, outer_tol=1e-15))
                     w_next = -rep.w
-                    prod = solver_module._phi_product(inst, inst.slots, rep.t[None])[1][0]
+                    prod = solver_module._phi_product(inst, a_inv, inst.ds, rep.t[None])[1][0]
                     u = prod[2 * n:4 * n] - inst.solve_g(rep.w[None])[0]
                     np.testing.assert_allclose(u, rep.u, rtol=1e-13, atol=0)
                     check(prod[4 * n:] - ds + 2.0 * (h @ w_next), h @ (g @ rep.u),
