@@ -284,9 +284,10 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
                 proto = ProblemInstance(chan.real, g_real, geometry[0], beta,
                                         config.distortion.epsilon)
                 result = solve_batch(proto, geometry, config.solver)
-                x_clean = result.u @ g_real.matrix.T + w_actual    # (n_sym, 2 n_t)
+                # power on the designed output G u, as for the nominal schemes
+                x = result.u @ g_real.matrix.T      # (n_sym, 2 n_t)
                 tallies[gamma_db, beta, "wc-slp"] = tally(
-                    x_clean, np.sum(result.u * result.u, axis=1), result.converged)
+                    x + w_actual, np.sum(x * x, axis=1), result.converged)
     return tallies
 
 

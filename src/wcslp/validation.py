@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import brentq, nnls
 
-from .constellation import CiGeometry, PskConstellation, build_ci_geometry
+from .constellation import PskConstellation, build_ci_geometry
 from .realify import build_real_channel, build_real_distortion
 from .solver import (ProblemInstance, SolverConfig, _bmul, _ci_coefficients, _degenerate_w,
                      _phi_product, _sq, phi, relaxed_objective, solve)
@@ -235,10 +235,11 @@ class SolverState:
     w: np.ndarray
 
 
-def _t_step(geometry: CiGeometry, r, t, z):
-    """Accelerated projected-gradient step on the slack of each slot of
-    ``geometry``, given the residual r = H (G u + w) - D s."""
-    _, step, b, momentum = _ci_coefficients(geometry)
+def _t_step(coefficients: list, r, t, z):
+    """Accelerated projected-gradient step on the slack of each slot, given
+    the residual r = H (G u + w) - D s and the slots' coefficients
+    (:func:`~wcslp.solver._ci_coefficients`)."""
+    _, step, b, momentum = coefficients
     t_new = np.maximum(_bmul(b, z) + _bmul(step, r), 0.0)
     return t_new, t_new + momentum * (t_new - t)
 
@@ -251,11 +252,17 @@ def apgd_t_step(state: SolverState, instance: ProblemInstance
     ||H(Gu+w) - Ds - A^{-1} t||^2 from the momentum iterate z, followed by
     the momentum extrapolation.
     """
-    x = np.asarray(state.u, dtype=float)[None] @ instance.g.T + state.w
-    t_new, z_new = _t_step(instance.geometry, x @ instance.h.T - instance.ds,
+    t_new, z_new = _t_step(_ci_coefficients(instance.geometry),
+                           _residual(state.u, state.w, instance),
                            np.asarray(state.t)[None],
                            np.ascontiguousarray(state.z, dtype=float)[None])
     return t_new[0], z_new[0]
+
+
+def _residual(u, w, instance: ProblemInstance) -> np.ndarray:
+    """r = H (G u + w) - D s of one design, as a stack of one row."""
+    x = np.asarray(u, dtype=float)[None] @ instance.g.T + w
+    return x @ instance.h.T - instance.ds
 
 
 def update_u(t, w, instance: ProblemInstance) -> np.ndarray:
@@ -409,17 +416,19 @@ def check_apgd_oracle(n_instances: int = 50, seed: int = 3,
         worst_step = max(worst_step,
                          float(np.max(np.abs(got_t - ref_t))),
                          float(np.max(np.abs(got_z - ref_z))))
-        state = SolverState(u=u, t=np.zeros(n2), z=np.zeros(n2), w=w)
+        # apgd_t_step's iteration, with its coefficients and residual taken once
+        coefficients = _ci_coefficients(inst.geometry)
+        residual = _residual(u, w, inst)
+        t, z = np.zeros((2, 1, n2))
         for _ in range(200_000):
-            t_new, z_new = apgd_t_step(state, inst)
-            delta = max(float(np.max(np.abs(t_new - state.t))),
-                        float(np.max(np.abs(z_new - state.z))))
-            state.t, state.z = t_new, z_new
+            t_new, z_new = _t_step(coefficients, residual, t, z)
+            delta = max(float(np.max(np.abs(t_new - t))), float(np.max(np.abs(z_new - z))))
+            t, z = t_new, z_new
             if delta <= 1e-13:
                 break
         r = inst.h @ (inst.g @ u + w) - inst.ds
         t_ref, _ = nnls(block_diag(*inst.geometry.a_inv_blocks), r)
-        worst = max(worst, float(np.max(np.abs(state.t - t_ref))))
+        worst = max(worst, float(np.max(np.abs(t[0] - t_ref))))
     passed = worst <= tol and worst_step <= 1e-9
     return CheckResult("apgd-nnls-oracle", passed, tol - max(worst, worst_step),
                        f"max |t - t_nnls|_inf = {worst:.2e}, "

@@ -274,6 +274,28 @@ def test_block_is_the_work_unit(monkeypatch):
             got[(g, 1.0, "nominal-under-distortion")]["mean_power"]
 
 
+def test_wc_slp_power_is_read_on_the_designed_output(monkeypatch):
+    # every scheme's power is ||x||^2 of its designed output x = G u; at
+    # G = 2I that is 4 ||u||^2, not ||u||^2
+    def doubled(matrix, n_t):
+        return realify_module.RealDistortionMatrix(matrix=2.0 * matrix, n_t=n_t)
+
+    def captured(*args, _original=simulator_module.solve_batch):
+        results.append(_original(*args))
+        return results[-1]
+    results = []
+    monkeypatch.setattr(simulator_module, "RealDistortionMatrix", doubled)
+    monkeypatch.setattr(simulator_module, "solve_batch", captured)
+    cfg = small_config(schemes=("wc-slp",))
+    tallies = simulator_module._run_block(cfg, 0)
+    assert len(results) == len(cfg.gamma_db_grid)
+    for gamma_db, result in zip(cfg.gamma_db_grid, results):
+        assert result.converged.any()
+        x = 2.0 * result.u[result.converged]
+        assert tallies[gamma_db, 1.0, "wc-slp"].power_sum == pytest.approx(
+            float(np.sum(x * x)), rel=1e-12)
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
     # a nominal scheme's tally serves every beta: one MI histogram per user

@@ -586,11 +586,12 @@ def test_qpsk_slack_step_is_a_projection():
     rng = np.random.default_rng(17)
     geoms = build_ci_geometry(np.stack([rng.integers(0, 4, 3) for _ in range(4)]),
                               3.0, 1.0, QPSK)
-    _, _, b, momentum = solver_module._ci_coefficients(geoms)
+    coefficients = solver_module._ci_coefficients(geoms)
+    _, _, b, momentum = coefficients
     assert momentum == 0.0
     assert np.abs(b).max() <= 1e-16
     r, t, z = rng.standard_normal((3, 4, 6))
-    t_new, z_new = validation_module._t_step(geoms, r, t, z)
+    t_new, z_new = validation_module._t_step(coefficients, r, t, z)
     expected = np.maximum(np.stack([block_diag(*gm.a_inv_blocks).T @ row
                                     for gm, row in zip(geoms, r)]), 0.0)
     np.testing.assert_allclose(t_new, expected, rtol=0, atol=1e-15 * np.abs(r).max())
@@ -637,10 +638,21 @@ def test_loop_residual_is_the_closed_form(n):
 
 
 def _every_iteration(monkeypatch, run):
-    """``run()`` with the stopping test evaluated after every iteration."""
+    """``run()`` with the stopping test evaluated after every iteration, at
+    every batch size: one block end (a ``_phi_product`` call) per iteration
+    of the longest-running row, after the setup's call."""
+    calls = [0]
+
+    def counted(*args, _original=solver_module._phi_product):
+        calls[0] += 1
+        return _original(*args)
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "_BLOCK", 1)
-        return run()
+        patch.setattr(solver_module, "_LONG_BLOCK", 1)
+        patch.setattr(solver_module, "_phi_product", counted)
+        res = run()
+    assert calls[0] == 1 + np.max(res.iterations)
+    return res
 
 
 def test_block_stop_equals_the_every_iteration_stop_on_a_batch(monkeypatch):
@@ -664,12 +676,14 @@ def test_block_stop_equals_the_every_iteration_stop_on_a_batch(monkeypatch):
 
 
 def test_block_stop_equals_the_every_iteration_stop_on_one_row(monkeypatch):
-    block = solver_module._BLOCK
+    # a one-row batch runs _LONG_BLOCK iterations per block
+    block, long_block = solver_module._BLOCK, solver_module._LONG_BLOCK
     rng = np.random.default_rng(18)
     insts = [random_instance(rng, 4, beta=beta, eps=eps, order=order, random_g=True)
              for beta in (1.0, 1e4) for eps in (0.0, 0.56) for order in (4, 8)]
     outcomes = set()
-    for budget in (1, block - 1, block, block + 1):
+    for budget in (1, block - 1, block, block + 1, long_block - 1, long_block,
+                   long_block + 1):
         for tol in (1e-2, 1e-6):
             cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
             for inst in insts:
@@ -764,25 +778,6 @@ def test_stop_reason(reason, eps, budget, tol):
         "budget": (False, False)}[reason]
 
 
-def _count_fast_forwards(monkeypatch):
-    """Lists that get, per fast-forward attempt of the loop, the number of
-    block ends evaluated before it (``_phi_product`` calls, counted in the
-    second list's entry) and whether the fast-forward served."""
-    attempts, ends = [], [0]
-    fast_forward, phi_product = solver_module._fast_forward, solver_module._phi_product
-
-    def counted_fast_forward(*args):
-        attempts.append((ends[0], fast_forward(*args)))
-        return attempts[-1][1]
-
-    def counted_phi_product(*args):
-        ends[0] += 1
-        return phi_product(*args)
-    monkeypatch.setattr(solver_module, "_fast_forward", counted_fast_forward)
-    monkeypatch.setattr(solver_module, "_phi_product", counted_phi_product)
-    return attempts, ends
-
-
 _RUN = ("u", "t", "w", "iterations", "converged", "limit_cycle")
 
 
@@ -800,10 +795,8 @@ def _assert_same_run(got, want, what):
 
 
 @pytest.mark.parametrize("order", [4, 8])
-def test_fast_forward_equals_the_reference_loop_on_long_budgets(monkeypatch, order):
-    # blocks whose active sets held run as one product with the block
-    # operators; QPSK's have no t_{k-2} part, 8-PSK's have
-    attempts = _count_fast_forwards(monkeypatch)[0]
+def test_loop_equals_the_reference_loop_on_long_budgets(order):
+    # QPSK's slack recurrence has no t_{k-2} part, 8-PSK's has
     rng = np.random.default_rng(22 + order)
     outcomes = set()
     for eps in (0.0, 0.56):
@@ -817,42 +810,28 @@ def test_fast_forward_equals_the_reference_loop_on_long_budgets(monkeypatch, ord
                     report = solve(inst, cfg)
                     _assert_same_run(report, want, f"{eps} {beta} {random_g} {budget}")
                     outcomes.add(report.stop_reason)
-    served = sum(ok for _, ok in attempts)
-    assert served >= 100 and served < len(attempts)
     assert outcomes == {"tolerance", "two_cycle", "budget"}
 
 
-def test_fast_forward_check_fails_when_the_active_set_changes(monkeypatch):
-    # a row settles, then its active set changes inside a fast-forwarded
-    # block: the check sees a step input of the wrong sign and the block
-    # runs step by step, to the same result as the plain loop
+def test_block_stop_equals_the_every_iteration_stop_on_a_long_run(monkeypatch):
+    # a row whose slack settles over many blocks
     inst = random_instance(np.random.default_rng(1), 4, beta=100.0, eps=0.56)
     cfg = SolverConfig(max_iterations=2000, outer_tol=1e-8)
-    plain = _every_iteration(monkeypatch, lambda: solve(inst, cfg))
-    attempts = _count_fast_forwards(monkeypatch)[0]
+    every = _every_iteration(monkeypatch, lambda: solve(inst, cfg))
     report = solve(inst, cfg)
-    served = [ok for _, ok in attempts]
-    assert not all(served) and sum(served) >= 10
-    _assert_same_run(report, plain, "fast-forward against every iteration")
+    assert report.iterations > 4 * solver_module._LONG_BLOCK
+    _assert_same_run(report, every, "blocked against every iteration")
 
 
-def test_batch_rows_settle_at_different_blocks(monkeypatch):
-    # the batch is fast-forwarded only once all its rows have settled; a row
-    # alone may be fast-forwarded earlier, and still solves as in the batch
+def test_small_batch_equals_alone_on_long_budgets():
+    # a batch of few rows runs _LONG_BLOCK iterations per block, and its
+    # rows leave it at different block ends
     proto, geoms = _batch_problem(34, 4, 6, 100.0, 0.56)
     cfg = SolverConfig(max_iterations=2000, outer_tol=1e-8)
-    attempts, ends = _count_fast_forwards(monkeypatch)
     batch = _assert_batch_equals_alone(proto, geoms, cfg)
-    first_served = set()
+    assert len(set((batch.iterations - 1) // solver_module._LONG_BLOCK)) > 1
     for j, geom in enumerate(geoms):
-        attempts.clear()
-        ends[0] = 0
         alone = solve(ProblemInstance(proto.channel, proto.distortion, geom,
                                       proto.beta, proto.epsilon), cfg)
-        first_served.add(min((end for end, ok in attempts if ok), default=None))
         _assert_same_run(alone, SimpleNamespace(**{name: getattr(batch, name)[j]
                                                    for name in _RUN}), f"row {j}")
-    assert len(first_served - {None}) > 1
-    attempts.clear()
-    solve_batch(proto, geoms, cfg)
-    assert sum(ok for _, ok in attempts) >= 10

@@ -30,6 +30,19 @@ def test_wrong_momentum_sign_fails_apgd_oracle(monkeypatch):
     assert not result.passed
 
 
+def test_apgd_oracle_takes_the_coefficients_once_per_instance(monkeypatch):
+    # one call for the probe step and one for the fixed-point iteration, not
+    # one per step
+    calls = [0]
+
+    def counted(*args, _original=validation_module._ci_coefficients):
+        calls[0] += 1
+        return _original(*args)
+    monkeypatch.setattr(validation_module, "_ci_coefficients", counted)
+    assert check_apgd_oracle(n_instances=6, seed=3).passed
+    assert calls[0] <= 2 * 6
+
+
 def test_individual_checks_quick():
     assert check_sphere_dominance(n_instances=4, n_samples=2000, seed=2).passed
     assert check_fixed_point(n_instances=4, seed=3).passed
@@ -42,7 +55,7 @@ REFERENCE = ("SecularPoleError", "RootSearchError", "_DEGENERATE_RTOL",
              "_BRACKET_INSET", "_BRENT_RTOL", "SolverState", "_w_parts",
              "_one_row_parts", "_root_from_parts", "_secular_from_parts",
              "secular_value", "mu_bracket", "solve_mu", "worst_case_w", "_t_step",
-             "apgd_t_step", "update_u", "count_secular_roots")
+             "_residual", "apgd_t_step", "update_u", "count_secular_roots")
 
 
 def test_reference_maths_stays_out_of_the_solver():
