@@ -391,15 +391,18 @@ def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
         size = min(block, config.max_iterations + 1 - start)
         live = len(rows)
         u_b, t_b = u_buf[:size + 2, :live], t_buf[:size + 2, :live]
+        # the step's views are taken once per block: at one row, numpy's
+        # per-call cost is most of an iteration's
         pre, pre2 = np.empty((2, live, 1, m))
+        t_rows, pre_row = t_b[:, :, None], pre[:, 0]
+        consts = (c_pm[1], c_pm[0])     # by k % 2: w_k = -w_1 at even k
         for j in range(size):
             k = start + j
-            np.matmul(t_b[j + 1][:, None], m1, out=pre)
+            np.matmul(t_rows[j + 1], m1, out=pre)
             if m2 is not None:
-                pre += np.matmul(t_b[j][:, None], m2, out=pre2)
-            # w_k = -w_1 at even k
-            pre[:, 0] += c_first if k == 1 else c_pm[(k + 1) % 2]
-            np.maximum(pre[:, 0], 0.0, out=t_b[j + 2])
+                pre += np.matmul(t_rows[j], m2, out=pre2)
+            pre_row += c_first if k == 1 else consts[k % 2]
+            np.maximum(pre_row, 0.0, out=t_b[j + 2])
         phi_b, prod_b = _phi_product(instance, a_inv, ds, t_b[2:], instance.u_ops)
 
         # the block's iterations k = start .. start + size - 1, stacked on
