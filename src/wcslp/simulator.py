@@ -3,13 +3,15 @@
 A coherence block is the unit of work.  Its channel, symbols, distortion and
 noise are drawn once, from a substream derived from (master seed, block
 index).  For each target SNR the block's geometry is built once, as one
-stack of its slots, and each slot's nominal design is solved once: it
-depends on neither beta nor the scheme, so both nominal schemes and every
-beta share it.  The robust designs of all slots are solved in one batch per
-beta.  The signals go through the block's channel with additive receiver
-noise, and single-user ML detection runs at each receiver.  Identical seeds
-give identical metrics for any degree of parallelism, and comparisons across
-beta, gamma and scheme reuse the same draws.
+stack of its slots.  Each slot's nominal design is solved once per block, at
+the grid's smallest SNR, and shared by every beta and both nominal schemes;
+every user of a cell has one gamma and one sigma (``SweepConfig`` has one of
+each; ``nominal_slp`` itself takes per-user gammas), so D s, and with it the
+design, scales by sqrt(gamma) to the other SNRs.  The robust designs of all
+slots are solved in one batch per beta.  The signals go through the block's
+channel with additive receiver noise, and single-user ML detection runs at
+each receiver.  Identical seeds give identical metrics for any degree of
+parallelism, and comparisons across beta, gamma and scheme reuse the draws.
 """
 
 from __future__ import annotations
@@ -256,22 +258,26 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
     """One coherence block's tallies, keyed (gamma_db, beta, "wc-slp") for
     wc-slp and (gamma_db, None, scheme) for a nominal scheme.
 
-    Per gamma the block's geometry is built once and each slot's nominal
-    design is solved once: it depends on neither beta nor the scheme, so
-    each nominal scheme's tally serves every beta.  wc-slp runs once per
-    beta.  A repeated grid entry is run once.
+    Per gamma the block's geometry is built once.  Each slot's nominal design
+    is solved at the smallest gamma, whatever the grid's order, and scaled by
+    sqrt(gamma / gamma_ref) at the others, as D s is (all users share one
+    gamma and one sigma).  It serves every beta and both nominal schemes.
+    wc-slp runs once per beta.  A repeated grid entry is run once.
     """
     chan, symbols, w_actual, noise = _block_draws(config, block_index)
     const = PskConstellation(config.constellation_order, config.phase_offset)
     n_sym = len(symbols)
     g_real = RealDistortionMatrix(matrix=np.eye(2 * config.n_t), n_t=config.n_t)
-    tallies = {}
-    for gamma_db in dict.fromkeys(config.gamma_db_grid):
-        geometry = build_ci_geometry(symbols, 10.0 ** (gamma_db / 10.0),
-                                     config.noise_sigma, const)
+    tallies, x_ref = {}, None
+    for gamma_db in sorted(set(config.gamma_db_grid)):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        geometry = build_ci_geometry(symbols, gamma, config.noise_sigma, const)
         tally = partial(_tally, chan.real.matrix, symbols, noise, geometry.ds, const)
         if set(config.schemes) - {"wc-slp"}:
-            x_nom = np.stack([nominal_slp(chan.real, gm)[0] for gm in geometry])
+            if x_ref is None:   # the grid's smallest gamma
+                gamma_ref = gamma
+                x_ref = np.stack([nominal_slp(chan.real, gm)[0] for gm in geometry])
+            x_nom = math.sqrt(gamma / gamma_ref) * x_ref
             powers = np.sum(x_nom * x_nom, axis=1)
             # precoder output G^{-1} x_nom, so the transmitted signal is
             # x_nom + w; power is accounted on the designed signal

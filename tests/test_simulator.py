@@ -263,7 +263,7 @@ def test_block_is_the_work_unit(monkeypatch):
     assert calls["_block_draws"] == cfg.blocks
     assert calls["cholesky"] == cfg.blocks      # one factor per channel
     assert calls["build_ci_geometry"] == cfg.blocks * len(gammas)   # one stack of slots
-    assert calls["nominal_slp"] == cfg.blocks * len(gammas) * cfg.symbols_per_block
+    assert calls["nominal_slp"] == cfg.blocks * cfg.symbols_per_block   # shared by every gamma
     assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
     got = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
     for g in gammas:
@@ -368,7 +368,38 @@ def test_rounding_is_not_a_ci_violation(monkeypatch):
                       solver=SolverConfig(max_iterations=4000, outer_tol=1e-3))
     rates = [r.ci_violation_rate for r in run_sweep(cfg) if r.scheme == "nominal-slp"]
     assert len(rates) == 18 and all(rate == 0.0 for rate in rates)
-    assert len(misses) == 120 and max(misses) <= 1.60e-9
+    assert len(misses) == 20 and max(misses) <= 1.60e-9   # 4 blocks x 5 slots
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_nominal_design_is_shared_across_gamma(monkeypatch, order):
+    # every user of a cell has one gamma and one sigma, so the nominal design
+    # at gamma is sqrt(gamma / gamma_ref) times the design at the grid's
+    # smallest gamma: equal to a fresh nominal_slp bitwise there, and to
+    # rounding elsewhere, whatever the order of the grid
+    def captured(h, symbols, noise, ds, const, x_clean, *args):
+        designs.append((symbols, ds, x_clean))
+        return original(h, symbols, noise, ds, const, x_clean, *args)
+    original, designs = simulator_module._tally, []
+    monkeypatch.setattr(simulator_module, "_tally", captured)
+    cfg = small_config(n_t=6, gamma_db_grid=(12.0, 0.0, 20.0, 12.0, 4.0), noise_sigma=0.7,
+                       constellation_order=order, schemes=("nominal-slp",), blocks=2)
+    const = PskConstellation(order)
+    gammas = sorted(set(cfg.gamma_db_grid))
+    for block in range(cfg.blocks):
+        designs.clear()
+        simulator_module._run_block(cfg, block)
+        chan = simulator_module._block_draws(cfg, block)[0]
+        assert len(designs) == len(gammas)
+        for gamma_db, (symbols, ds, x) in zip(gammas, designs):
+            geometry = build_ci_geometry(symbols, 10.0 ** (gamma_db / 10.0), 0.7, const)
+            np.testing.assert_array_equal(ds, geometry.ds)
+            fresh = np.stack([nominal_slp(chan.real, gm)[0] for gm in geometry])
+            if gamma_db == gammas[0]:
+                np.testing.assert_array_equal(x, fresh)
+            else:
+                gap = np.linalg.norm(x - fresh, axis=1) / np.linalg.norm(fresh, axis=1)
+                assert gap.max() <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [10.0, 1e12])
