@@ -3,6 +3,8 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload sweep-wc \
         --pairs 10 --seconds 30 --out BENCH_18.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload sweep-nominal \
+        --trace --pairs 3 --seconds 10 --out BENCH_23.json
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload wall \
         --pairs 3 --out BENCH_18.json
 
@@ -17,6 +19,10 @@ tree, pool workers included) and exit code; a perfbench run also its result.
 The summary gives each metric's quartiles per side and the pairs the change
 won (a tie counts for neither side).  The entry is stored under the
 workload's name in ``--out``, keeping the other workloads' entries there.
+With ``--trace`` each side runs perfbench with ``--trace 1``; the summary
+gives the per-layer metrics, each with its direction from BENCHMARK.json's
+``per_layer`` and no bound, and the entry is stored as ``<workload>-trace``,
+beside the untraced one.
 """
 
 from __future__ import annotations
@@ -56,12 +62,13 @@ WALL = {
 }
 
 
-def commands(workload: str, seconds: float, seed) -> dict:
+def commands(workload: str, seconds: float, seed, trace: bool = False) -> dict:
     """The commands each side runs in one pair, by target."""
     if workload == "wall":
         return WALL
     return {workload: [sys.executable, PERFBENCH, "--workload", workload,
-                       "--seconds", str(seconds), "--seed", str(seed)]}
+                       "--seconds", str(seconds), "--seed", str(seed)]
+            + (["--trace", "1"] if trace else [])}
 
 
 def commit_of(checkout: Path) -> dict:
@@ -110,9 +117,10 @@ def quartiles(values) -> dict:
 def summarize(values, metrics) -> dict:
     """Per row: each side's quartiles and the pairs the change won.  ``values``
     holds, pair by pair, each side's values by row.  A row named in
-    ``metrics`` takes its unit, direction and bound from there; any other
-    row is seconds, lower being better."""
-    specs = {m["name"]: {k: m[k] for k in ("unit", "better", "bound")} for m in metrics}
+    ``metrics`` takes its unit, direction and bound (if it has one) from
+    there; any other row is seconds, lower being better."""
+    specs = {m["name"]: {k: m[k] for k in ("unit", "better", "bound") if k in m}
+             for m in metrics}
     out = {}
     for name in values[0]["change"]:
         spec = specs.get(name, SECONDS)
@@ -133,22 +141,27 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0, help="perfbench run length")
     parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the first pair")
+    parser.add_argument("--trace", action="store_true",
+                        help="run perfbench with --trace 1 and summarise its per-layer metrics")
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file to add the workload's entry to")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-
     wall = args.workload == "wall"
+    if wall and args.trace:
+        parser.error("--trace needs a perfbench workload")
+
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())[
+        "per_layer" if args.trace else "end_to_end"]
     runs, values = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         run = {"pair": i, **({} if wall else {"seed": seed}), "order": list(order)}
         pair = {side: {} for side in SIDES}
-        for target, cmd in commands(args.workload, args.seconds, seed).items():
+        for target, cmd in commands(args.workload, args.seconds, seed, args.trace).items():
             records = run.setdefault(target, {}) if wall else run
             for side in order:
                 rec = records[side] = run_once(checkouts[side], cmd)
@@ -161,13 +174,14 @@ def main(argv=None) -> int:
         values.append(pair)
 
     shown = {target: ["python3"] + cmd[1:]
-             for target, cmd in commands(args.workload, args.seconds, "<seed>").items()}
+             for target, cmd in commands(args.workload, args.seconds, "<seed>",
+                                         args.trace).items()}
     entry = {**({"commands": shown} if wall else {"command": shown[args.workload]}),
              "cores": len(os.sched_getaffinity(0)),
              **{side: commit_of(checkouts[side]) for side in SIDES},
              "summary": summarize(values, metrics), "runs": runs}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.workload] = entry
+    doc[args.workload + ("-trace" if args.trace else "")] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, row in entry["summary"].items():
         print(f"{name} ({row['unit']}): " + ", ".join(

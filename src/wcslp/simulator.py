@@ -10,8 +10,11 @@ each; ``nominal_slp`` itself takes per-user gammas), so D s, and with it the
 design, scales by sqrt(gamma) to the other SNRs.  The robust designs of all
 slots are solved in one batch per beta.  The signals go through the block's
 channel with additive receiver noise, and single-user ML detection runs at
-each receiver.  Identical seeds give identical metrics for any degree of
-parallelism, and comparisons across beta, gamma and scheme reuse the draws.
+each receiver, for every cell of the block in one stacked tally.  A cell's
+rate is one plug-in MI estimate over all of its users, from the occupied
+cells of their joint histograms.  Identical seeds give identical metrics for
+any degree of parallelism, and comparisons across beta, gamma and scheme
+reuse the draws.
 """
 
 from __future__ import annotations
@@ -173,48 +176,59 @@ def calibrate_epsilon(confidence: float, sigma_w_sq: float, n_t: int) -> float:
     return math.sqrt(0.5 * sigma_w_sq * chi2.ppf(confidence, df=2 * n_t))
 
 
-def _bit_errors(detected, sent, constellation: PskConstellation) -> int:
-    """Bits that differ between the Gray labels of detected and sent indices."""
+def _bit_errors(detected, sent, constellation: PskConstellation) -> np.ndarray:
+    """Bits that differ between the Gray labels of detected and sent indices,
+    summed over the last axis."""
     labels = constellation.gray_labels
-    return int(np.bitwise_count(labels[detected] ^ labels[sent]).sum())
+    return np.bitwise_count(labels[detected] ^ labels[sent]).sum(axis=-1)
 
 
-def estimate_mi(received, sent, order: int, bins: int = 64) -> float:
+def estimate_mi(received, sent, order: int, bins: int = 64):
     """Plug-in mutual information (bits) between sent indices and received points.
 
-    Joint histogram of the discrete symbol with a 2-D binning of the received
-    samples; each axis spans +/- 4 empirical standard deviations around the
-    mean (outliers clip into the edge bins).  The estimate is clamped to
-    [0, log2(order)].
+    ``received`` is (..., N, 2) and ``sent`` (..., N): one group of N samples
+    per leading index, each estimated on its own.  Joint histogram of the
+    discrete symbol with a 2-D binning of the received samples; per group,
+    each axis spans +/- 4 empirical standard deviations around the mean
+    (outliers clip into the edge bins).  Only the occupied (group, cell,
+    symbol) keys are counted, so the cost grows with the samples, not with
+    ``bins``^2: MI = sum n_sc / n log2(n_sc n / (n_s n_c)) over them.  Each
+    estimate is clamped to [0, log2(order)]; one (N, 2) group gives a float,
+    a stack an array of the leading shape.
     """
     received = np.asarray(received, dtype=float)
     sent = np.asarray(sent, dtype=int)
-    if received.ndim != 2 or received.shape[1] != 2 or received.shape[0] == 0:
-        raise ValueError("received must be a non-empty (N, 2) array")
-    if sent.shape != (received.shape[0],):
+    if received.ndim < 2 or received.shape[-1] != 2 or received.size == 0:
+        raise ValueError("received must be a non-empty (..., N, 2) array")
+    if sent.shape != received.shape[:-1]:
         raise ValueError("sent must have one index per received sample")
     if bins < 2:
         raise ValueError("need at least 2 bins per axis")
-    n = received.shape[0]
-    idx2 = np.empty((2, n), dtype=int)
-    for axis in range(2):
-        vals = received[:, axis]
-        center, sd = vals.mean(), vals.std()
-        half = 4.0 * sd if sd > 0 else 1.0
-        lo = center - half
-        scaled = (vals - lo) * (bins / (2.0 * half))
-        idx2[axis] = np.clip(scaled.astype(int), 0, bins - 1)
     if np.any((sent < 0) | (sent >= order)):
         raise ValueError(f"sent indices must lie in [0, {order})")
-    cell = idx2[0] * bins + idx2[1]
-    joint = np.bincount(sent * (bins * bins) + cell, minlength=order * bins * bins)
-    joint = joint.reshape(order, bins * bins) / n
-    p_s = joint.sum(axis=1)
-    p_c = joint.sum(axis=0)
-    mask = joint > 0
-    denom = np.outer(p_s, p_c)
-    mi = float(np.sum(joint[mask] * np.log2(joint[mask] / denom[mask])))
-    return min(max(mi, 0.0), math.log2(order))
+    n = received.shape[-2]
+    # (groups, 2, N), contiguous, so each axis's mean and std sum the same
+    # way as on one group's own column
+    vals = np.ascontiguousarray(np.moveaxis(received, -1, -2).reshape(-1, 2, n))
+    sd = vals.std(axis=-1, keepdims=True)
+    half = np.where(sd > 0, 4.0 * sd, 1.0)
+    lo = vals.mean(axis=-1, keepdims=True) - half
+    idx = np.clip(((vals - lo) * (bins / (2.0 * half))).astype(int), 0, bins - 1)
+    groups = np.arange(len(vals))[:, None]
+    sent = sent.reshape(-1, n)
+    # sorted keys run by (group, cell), then symbol
+    keys, n_sc = np.unique(((groups * bins + idx[:, 0]) * bins + idx[:, 1]) * order + sent,
+                           return_counts=True)
+    cell_start = np.flatnonzero(np.diff(keys // order, prepend=-1))
+    n_c = np.repeat(np.add.reduceat(n_sc, cell_start), np.diff(cell_start, append=len(keys)))
+    group = keys // (order * bins * bins)
+    n_s = np.bincount((groups * order + sent).ravel(),
+                      minlength=len(vals) * order)[group * order + keys % order]
+    # every group has keys; a pairwise sum per group
+    mi = np.add.reduceat(n_sc * np.log2(n_sc * n / (n_s * n_c)),
+                         np.flatnonzero(np.diff(group, prepend=-1))) / n
+    mi = np.clip(mi, 0.0, math.log2(order)).reshape(received.shape[:-2])
+    return float(mi) if received.ndim == 2 else mi
 
 
 def energy_efficiency(ber: float, per_user_rate: float, mean_power: float) -> float:
@@ -226,15 +240,15 @@ def energy_efficiency(ber: float, per_user_rate: float, mean_power: float) -> fl
 
 @dataclass
 class _BlockTally:
-    bit_errors: int = 0
-    bits: int = 0
-    power_sum: float = 0.0
-    used_symbols: int = 0
-    failures: int = 0
-    violations: int = 0
-    margin_pairs: int = 0
-    received: np.ndarray | None = None   # (n_r, used, 2)
-    sent: np.ndarray | None = None       # (used, n_r)
+    bit_errors: int
+    bits: int
+    power_sum: float
+    used_symbols: int
+    failures: int
+    violations: int
+    margin_pairs: int
+    received: np.ndarray    # (n_r, used, 2)
+    sent: np.ndarray        # (used, n_r)
 
 
 def _block_draws(config: SweepConfig, block_index: int):
@@ -262,17 +276,17 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
     is solved at the smallest gamma, whatever the grid's order, and scaled by
     sqrt(gamma / gamma_ref) at the others, as D s is (all users share one
     gamma and one sigma).  It serves every beta and both nominal schemes.
-    wc-slp runs once per beta.  A repeated grid entry is run once.
+    wc-slp runs once per beta.  A repeated grid entry is run once.  Every
+    cell's signals are collected first and tallied in one stacked call.
     """
     chan, symbols, w_actual, noise = _block_draws(config, block_index)
     const = PskConstellation(config.constellation_order, config.phase_offset)
     n_sym = len(symbols)
     g_real = RealDistortionMatrix(matrix=np.eye(2 * config.n_t), n_t=config.n_t)
-    tallies, x_ref = {}, None
+    cells, x_ref = [], None     # (key, D s, transmitted signal, power, ok) per cell
     for gamma_db in sorted(set(config.gamma_db_grid)):
         gamma = 10.0 ** (gamma_db / 10.0)
         geometry = build_ci_geometry(symbols, gamma, config.noise_sigma, const)
-        tally = partial(_tally, chan.real.matrix, symbols, noise, geometry.ds, const)
         if set(config.schemes) - {"wc-slp"}:
             if x_ref is None:   # the grid's smallest gamma
                 gamma_ref = gamma
@@ -282,9 +296,9 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
             # precoder output G^{-1} x_nom, so the transmitted signal is
             # x_nom + w; power is accounted on the designed signal
             signals = {"nominal-slp": x_nom, "nominal-under-distortion": x_nom + w_actual}
-            for scheme in set(config.schemes) & set(signals):
-                tallies[gamma_db, None, scheme] = tally(signals[scheme], powers,
-                                                        np.ones(n_sym, dtype=bool))
+            cells += [((gamma_db, None, scheme), geometry.ds, signal, powers,
+                       np.ones(n_sym, dtype=bool))
+                      for scheme, signal in signals.items() if scheme in config.schemes]
         if "wc-slp" in config.schemes:
             for beta in dict.fromkeys(config.beta_grid):
                 proto = ProblemInstance(chan.real, g_real, geometry[0], beta,
@@ -292,34 +306,41 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
                 result = solve_batch(proto, geometry, config.solver)
                 # power on the designed output G u, as for the nominal schemes
                 x = result.u @ g_real.matrix.T      # (n_sym, 2 n_t)
-                tallies[gamma_db, beta, "wc-slp"] = tally(
-                    x + w_actual, np.sum(x * x, axis=1), result.converged)
-    return tallies
+                cells.append(((gamma_db, beta, "wc-slp"), geometry.ds, x + w_actual,
+                              np.sum(x * x, axis=1), result.converged))
+    keys, ds, x_clean, powers, ok = zip(*cells)
+    return dict(zip(keys, _tally(chan.real.matrix, symbols, noise, np.stack(ds), const,
+                                 np.stack(x_clean), np.stack(powers), np.stack(ok))))
 
 
 def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
-           ok) -> _BlockTally:
+           ok) -> list[_BlockTally]:
     """Detection, bit errors, power and noise-free CI margins of one block's
-    transmitted signals; rows where ``ok`` is False count as failures only."""
+    transmitted signals, for C cells at once: ``ds`` is (C, S, 2 n_r),
+    ``x_clean`` (C, S, 2 n_t), ``powers`` and ``ok`` (C, S).  Gives one
+    tally per cell; rows where ``ok`` is False count as failures only.
+
+    Every step is per slot (each cell's H x is its own matrix product), so a
+    cell's tally does not depend on the others in the stack.
+    """
+    n_cells, n_sym = ok.shape
     n_r = symbols.shape[1]
-    tally = _BlockTally(failures=int(np.sum(~ok)))
-    used = np.flatnonzero(ok)
-    y_clean = (x_clean[used] @ h.T).reshape(used.size, n_r, 2)
-    received = y_clean + noise[used]
-    detected = ml_detect_many(received.reshape(-1, 2), const).reshape(used.size, n_r)
-    sent = symbols[used]
-    tally.bit_errors = _bit_errors(detected, sent, const)
-    tally.bits = int(sent.size * const.bits_per_symbol)
-    tally.power_sum = float(powers[used].sum())
-    tally.used_symbols = int(used.size)
-    margins = ci_margin(y_clean, ds[used].reshape(used.size, n_r, 2), sent, const)
-    scale = np.outer(np.linalg.norm(x_clean[used], axis=1),          # ||x_j|| ||H_i||
-                     np.linalg.norm(h.reshape(n_r, -1), axis=1))
-    tally.violations = int(np.sum(margins.min(axis=2) < -_VIOLATION_RTOL * scale))
-    tally.margin_pairs = int(used.size * n_r)
-    tally.received = np.transpose(received, (1, 0, 2))  # (n_r, used, 2)
-    tally.sent = sent
-    return tally
+    y_clean = (x_clean @ h.T).reshape(n_cells, n_sym, n_r, 2)
+    received = y_clean + noise
+    bit_errors = _bit_errors(ml_detect_many(received, const), symbols, const)   # (C, S)
+    margins = ci_margin(y_clean, ds.reshape(y_clean.shape), symbols, const)
+    scale = (np.linalg.norm(x_clean, axis=2)[..., None]              # ||x_j|| ||H_i||
+             * np.linalg.norm(h.reshape(n_r, -1), axis=1))
+    violations = np.sum(margins.min(axis=3) < -_VIOLATION_RTOL * scale, axis=2)
+    n_used = ok.sum(axis=1).tolist()
+    return [_BlockTally(bit_errors=int(bit_errors[c, used].sum()),
+                        bits=n_used[c] * n_r * const.bits_per_symbol,
+                        power_sum=float(powers[c, used].sum()), used_symbols=n_used[c],
+                        failures=n_sym - n_used[c], violations=int(violations[c, used].sum()),
+                        margin_pairs=n_used[c] * n_r,
+                        received=np.transpose(received[c, used], (1, 0, 2)),
+                        sent=symbols[used])
+            for c, used in enumerate(ok)]
 
 
 def _openblas_threads(which: str) -> list:
@@ -368,8 +389,9 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     processes, and no more than the cores this process may run on, and
     reduced in block order, so the records are identical for any worker
     count; each worker runs BLAS on one thread.
-    The blocks' tallies are keyed by cell, and each key is reduced once: a
-    nominal scheme's, shared by every beta, once per (gamma, scheme).
+    The blocks' tallies are keyed by cell, and each key is reduced once, with
+    one MI estimate over all of its users: a nominal scheme's, shared by
+    every beta, once per (gamma, scheme).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
@@ -399,8 +421,8 @@ def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, schem
         mean_power = sum(t.power_sum for t in tallies) / used
         received = np.concatenate([t.received for t in tallies], axis=1)
         sent = np.concatenate([t.sent for t in tallies], axis=0)
-        mi = float(np.mean([estimate_mi(received[i], sent[:, i], config.constellation_order,
-                                        config.mi_bins) for i in range(config.n_r)]))
+        mi = float(np.mean(estimate_mi(received, sent.T, config.constellation_order,
+                                       config.mi_bins)))
         rate_factor = (1.0 - ber) if config.ee_complement else ber
         metrics = dict(mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
                        energy_efficiency=energy_efficiency(rate_factor, mi, mean_power),

@@ -11,7 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
-METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+LAYERS = {m["name"]: m for m in BENCHMARK["per_layer"]}
 
 
 @pytest.fixture
@@ -24,7 +26,8 @@ def checkouts(tmp_path):
 
 def stub(monkeypatch, checkouts, value=lambda side, seed: 1.0):
     """Stub ``run_once``: every metric of a run reads ``value(side, seed)``,
-    and the calls are kept in order as (side, command)."""
+    the per-layer ones for a traced run, and the calls are kept in order as
+    (side, command)."""
     calls = []
 
     def run_once(checkout, cmd):
@@ -33,18 +36,20 @@ def stub(monkeypatch, checkouts, value=lambda side, seed: 1.0):
         if bench_pairs.PERFBENCH not in cmd:
             return {"seconds": 2.0, "cpu_s": 1.5, "exit": 0, "summary": "1 passed"}
         v = value(side, int(cmd[cmd.index("--seed") + 1]))
+        names = LAYERS if "--trace" in cmd else METRICS
         return {"seconds": 30.0, "cpu_s": 29.0, "exit": 0, "correct": True,
-                "attempted": 10, "failed": 0, "metrics": {m: v for m in METRICS}}
+                "attempted": 10, "failed": 0, "metrics": {m: v for m in names}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return calls
 
 
-def run(checkouts, workload, pairs=4, seed=7):
+def run(checkouts, workload, pairs=4, seed=7, *extra):
     out = checkouts / "bench.json"
     code = bench_pairs.main(["--parent", str(checkouts / "parent"),
                              "--change", str(checkouts / "change"), "--workload", workload,
-                             "--pairs", str(pairs), "--seed", str(seed), "--out", str(out)])
+                             "--pairs", str(pairs), "--seed", str(seed), "--out", str(out),
+                             *extra])
     return code, json.loads(out.read_text())
 
 
@@ -102,5 +107,36 @@ def test_one_pair_is_a_usage_error(monkeypatch, checkouts):
     calls = stub(monkeypatch, checkouts)
     with pytest.raises(SystemExit) as exc:
         run(checkouts, "sweep-wc", pairs=1)
+    assert exc.value.code == 2
+    assert not calls
+
+
+def test_a_traced_run_summarises_the_layers_beside_the_untraced_entry(monkeypatch, checkouts):
+    # --trace runs perfbench with --trace 1 on both sides, reads each layer's
+    # direction from BENCHMARK.json's per_layer with no bound, and keeps the
+    # untraced entry of the workload
+    calls = stub(monkeypatch, checkouts,
+                 lambda side, seed: 2.0 if side == "change" and seed % 2 else 1.0)
+    _, untraced = run(checkouts, "sweep-nominal")
+    calls.clear()
+    code, doc = run(checkouts, "sweep-nominal", 4, 7, "--trace")
+    assert code == 0
+    assert all(cmd[-2:] == ["--trace", "1"] for _, cmd in calls) and len(calls) == 8
+    assert doc["sweep-nominal"] == untraced["sweep-nominal"]
+    entry = doc["sweep-nominal-trace"]
+    assert entry["command"][-2:] == ["--trace", "1"]
+    assert entry["summary"].keys() == LAYERS.keys() | {"cpu_s"}
+    for name, layer in LAYERS.items():
+        row = entry["summary"][name]
+        assert "bound" not in row
+        assert (row["unit"], row["better"]) == (layer["unit"], layer["better"])
+        # the change reads 2 at odd seeds (7 and 9), 1 otherwise
+        assert row["change_wins"] == (2 if layer["better"] == "higher" else 0)
+
+
+def test_trace_needs_a_perfbench_workload(monkeypatch, checkouts):
+    calls = stub(monkeypatch, checkouts)
+    with pytest.raises(SystemExit) as exc:
+        run(checkouts, "wall", 2, 7, "--trace")
     assert exc.value.code == 2
     assert not calls

@@ -74,12 +74,14 @@ def test_distortion_exceeds_radius_at_stated_rate():
 
 def _received(x, noise):
     """The tally's received points (n_r, slots, 2) of signals x (slots, 2 n_t)
-    through a 4x3 channel, and that channel's complex matrix."""
+    through a 4x3 channel, as a one-cell stack, and that channel's complex
+    matrix."""
     rng = np.random.default_rng(9)
     chan = sample_channel(4, 3, rng)
     symbols = rng.integers(0, 4, (len(x), 3))
-    tally = simulator_module._tally(chan.real.matrix, symbols, noise, np.zeros((len(x), 6)),
-                                    QPSK, x, np.ones(len(x)), np.ones(len(x), dtype=bool))
+    [tally] = simulator_module._tally(chan.real.matrix, symbols, noise,
+                                      np.zeros((1, len(x), 6)), QPSK, x[None],
+                                      np.ones((1, len(x))), np.ones((1, len(x)), dtype=bool))
     return tally.received, chan.h
 
 
@@ -154,6 +156,73 @@ def test_estimate_mi_clamped_and_validated():
         estimate_mi(np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
     with pytest.raises(ValueError):
         estimate_mi(received, sent, 4, bins=1)
+
+
+def _dense_mi(received, sent, order, bins):
+    """Reference plug-in MI of one (N, 2) group from the dense order x bins^2
+    joint histogram of probabilities, with the same binning as estimate_mi."""
+    n = len(received)
+    idx2 = np.empty((2, n), dtype=int)
+    for axis in range(2):
+        vals = received[:, axis]
+        center, sd = vals.mean(), vals.std()
+        half = 4.0 * sd if sd > 0 else 1.0
+        scaled = (vals - (center - half)) * (bins / (2.0 * half))
+        idx2[axis] = np.clip(scaled.astype(int), 0, bins - 1)
+    cell = idx2[0] * bins + idx2[1]
+    joint = np.bincount(sent * (bins * bins) + cell, minlength=order * bins * bins)
+    joint = joint.reshape(order, bins * bins) / n
+    mask = joint > 0
+    denom = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    mi = float(np.sum(joint[mask] * np.log2(joint[mask] / denom[mask])))
+    return min(max(mi, 0.0), math.log2(order))
+
+
+def _mi_groups(n, order, seed):
+    """Four (n, 2) groups of noisy PSK points: plain, one zero-variance axis,
+    far outliers that clip into the edge bins, and noiseless."""
+    rng = np.random.default_rng(seed)
+    const = PskConstellation(order)
+    sent = rng.integers(0, order, (4, n))
+    received = 2.0 * const.points_real[sent] + rng.standard_normal((4, n, 2))
+    received[1, :, 0] = 0.3
+    received[2, : max(1, n // 10)] = [[1e6, -1e6]]
+    received[3] = const.points_real[sent[3]]
+    return received, sent
+
+
+@pytest.mark.parametrize("bins", [2, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 20, 5000])
+def test_stacked_estimate_mi_is_one_estimate_per_group(n, bins):
+    for order in (4, 8):
+        received, sent = _mi_groups(n, order, seed=n * bins + order)
+        stacked = estimate_mi(received, sent, order, bins)
+        assert stacked.shape == (4,)
+        for g in range(4):
+            one = estimate_mi(received[g], sent[g], order, bins)
+            assert type(one) is float
+            assert one == stacked[g]      # bitwise
+            assert abs(one - _dense_mi(received[g], sent[g], order, bins)) <= 1e-14
+        # any leading shape, one value per leading index
+        grid = estimate_mi(received.reshape(2, 2, n, 2), sent.reshape(2, 2, n), order, bins)
+        np.testing.assert_array_equal(grid, stacked.reshape(2, 2))
+
+
+def test_stacked_estimate_mi_is_validated():
+    received, sent = _mi_groups(20, 4, seed=1)
+    for bad_received, bad_sent in ((np.zeros((3, 0, 2)), np.zeros((3, 0), dtype=int)),
+                                   (received[..., :1], sent),
+                                   (received, sent[:, :-1]),
+                                   (received, sent[0]),
+                                   (received[0], sent),
+                                   (received, sent.T)):
+        with pytest.raises(ValueError):
+            estimate_mi(bad_received, bad_sent, 4)
+    with pytest.raises(ValueError):
+        estimate_mi(received, sent, 4, bins=1)
+    sent[2, 5] = 4
+    with pytest.raises(ValueError):
+        estimate_mi(received, sent, 4)
 
 
 def test_energy_efficiency_formula():
@@ -251,7 +320,8 @@ def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
 def test_block_is_the_work_unit(monkeypatch):
     calls = Counter()
     counted_calls = [(simulator_module, name) for name in
-                     ("_block_draws", "build_ci_geometry", "nominal_slp", "solve_batch")]
+                     ("_block_draws", "build_ci_geometry", "nominal_slp", "solve_batch",
+                      "_tally", "ml_detect_many")]
     for module, name in counted_calls + [(realify_module, "cholesky")]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -265,6 +335,7 @@ def test_block_is_the_work_unit(monkeypatch):
     assert calls["build_ci_geometry"] == cfg.blocks * len(gammas)   # one stack of slots
     assert calls["nominal_slp"] == cfg.blocks * cfg.symbols_per_block   # shared by every gamma
     assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
+    assert calls["_tally"] == calls["ml_detect_many"] == cfg.blocks   # every cell at once
     got = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
     for g in gammas:
         for scheme in ("nominal-slp", "nominal-under-distortion"):
@@ -298,8 +369,8 @@ def test_wc_slp_power_is_read_on_the_designed_output(monkeypatch):
 
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
-    # a nominal scheme's tally serves every beta: one MI histogram per user
-    # and (gamma, scheme), where wc-slp needs one per (gamma, beta); a
+    # a nominal scheme's tally serves every beta: one MI estimate, over all
+    # users, per (gamma, scheme), where wc-slp needs one per (gamma, beta); a
     # repeated grid entry is a cell already reduced, and the records read
     # the same as the grid's without repeats, put in the grid's order
     calls = Counter()
@@ -312,7 +383,7 @@ def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
     cfg = small_config(beta_grid=(1.0, 10.0, 100.0), parallel=parallel)
     records = run_sweep(cfg)
     n_nominal = len(cfg.schemes) - 1
-    reductions = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + n_nominal) * cfg.n_r
+    reductions = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + n_nominal)
     assert calls["estimate_mi"] == reductions
     per_block = [simulator_module._run_block(cfg, b) for b in range(cfg.blocks)]
     cells = [(g, b, s) for g in cfg.gamma_db_grid for b in cfg.beta_grid
@@ -376,9 +447,10 @@ def test_nominal_design_is_shared_across_gamma(monkeypatch, order):
     # every user of a cell has one gamma and one sigma, so the nominal design
     # at gamma is sqrt(gamma / gamma_ref) times the design at the grid's
     # smallest gamma: equal to a fresh nominal_slp bitwise there, and to
-    # rounding elsewhere, whatever the order of the grid
+    # rounding elsewhere, whatever the order of the grid; the block's one
+    # tally stacks the cells in ascending gamma
     def captured(h, symbols, noise, ds, const, x_clean, *args):
-        designs.append((symbols, ds, x_clean))
+        designs.extend((symbols, ds_cell, x_cell) for ds_cell, x_cell in zip(ds, x_clean))
         return original(h, symbols, noise, ds, const, x_clean, *args)
     original, designs = simulator_module._tally, []
     monkeypatch.setattr(simulator_module, "_tally", captured)
@@ -418,11 +490,54 @@ def test_ci_violation_threshold_scales_with_the_design(gamma):
         x = pinv @ (geom.ds + a_inv @ margins)
         margins[0] = -miss * np.linalg.norm(h[:2]) * np.linalg.norm(x)
         x = pinv @ (geom.ds + a_inv @ margins)
-        return simulator_module._tally(h, symbols, np.zeros((1, 4, 2)), geom.ds[None], QPSK,
-                                       x[None], np.ones(1), np.ones(1, dtype=bool)).violations
+        [tally] = simulator_module._tally(h, symbols, np.zeros((1, 4, 2)), geom.ds[None, None],
+                                          QPSK, x[None, None], np.ones((1, 1)),
+                                          np.ones((1, 1), dtype=bool))
+        return tally.violations
 
     assert violations(1e-6) == 1
     assert violations(1e-12) == 0   # below -1e-9 in absolute terms at the large gamma
+
+
+def test_stacked_tally_is_one_tally_per_cell():
+    # one stacked call of C cells equals C one-cell calls, field by field and
+    # bitwise; a row whose ok is False counts as a failure only and drops out
+    # of the BER, power, violations and received points
+    rng = np.random.default_rng(12)
+    n_t, n_r, n_sym, n_cells = 6, 4, 30, 5
+    h = sample_channel(n_t, n_r, rng).real.matrix
+    symbols = rng.integers(0, 4, (n_sym, n_r))
+    noise = rng.standard_normal((n_sym, n_r, 2))
+    ds = build_ci_geometry(symbols, 10.0, 1.0, QPSK).ds * rng.uniform(0.5, 2, (n_cells, 1, 1))
+    x = 3.0 * rng.standard_normal((n_cells, n_sym, 2 * n_t))
+    powers = np.sum(x * x, axis=2)
+    ok = np.ones((n_cells, n_sym), dtype=bool)
+    ok[2, [0, 7, 8, 29]] = False
+    ok[4] = False
+    tally = simulator_module._tally
+    stacked = tally(h, symbols, noise, ds, QPSK, x, powers, ok)
+    assert len(stacked) == n_cells
+    for c, got in enumerate(stacked):
+        [one] = tally(h, symbols, noise, ds[c:c + 1], QPSK, x[c:c + 1], powers[c:c + 1],
+                      ok[c:c + 1])
+        for name, value in asdict(one).items():
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+    assert stacked[1].violations > 0 and stacked[1].bit_errors > 0
+    everything_failed = stacked[4]
+    assert (everything_failed.failures, everything_failed.used_symbols,
+            everything_failed.power_sum) == (n_sym, 0, 0.0)
+    assert everything_failed.received.shape == (n_r, 0, 2)
+
+    used = ok[2]
+    [kept] = tally(h, symbols[used], noise[used], ds[2:3, used], QPSK, x[2:3, used],
+                   powers[2:3, used], np.ones((1, used.sum()), dtype=bool))
+    failed = stacked[2]
+    assert failed.failures == 4 and kept.failures == 0
+    for name in ("bit_errors", "bits", "power_sum", "used_symbols", "violations",
+                 "margin_pairs"):
+        assert getattr(failed, name) == getattr(kept, name), name
+    np.testing.assert_array_equal(failed.sent, symbols[used])
+    np.testing.assert_allclose(failed.received, kept.received, rtol=1e-14, atol=0)
 
 
 def test_run_sweep_rejects_overloaded_system():
