@@ -62,7 +62,7 @@ WALL = {
 }
 
 
-def commands(workload: str, seconds: float, seed, trace: bool = False) -> dict:
+def commands(workload: str, seconds: float, seed, trace: bool) -> dict:
     """The commands each side runs in one pair, by target."""
     if workload == "wall":
         return WALL
