@@ -185,7 +185,7 @@ def ml_detect(y, constellation: PskConstellation) -> int:
 
 
 def ml_detect_many(y, constellation: PskConstellation) -> np.ndarray:
-    """Vectorised ml_detect over rows of an (N, 2) array."""
+    """Vectorised ml_detect over the real pairs of an (..., 2) array."""
     y = np.asarray(y, dtype=float)
     z = y[..., 0] + 1j * y[..., 1]
     d2 = np.abs(z[..., None] - constellation.points) ** 2
