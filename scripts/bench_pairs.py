@@ -28,6 +28,8 @@ beside the untraced one.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import resource
@@ -35,11 +37,15 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
 PERFBENCH = "perfbench/run.py"
 SECONDS = {"unit": "s", "better": "lower"}
+# token types that hold no code of their own
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 # the criterion-8 sweep of tests/test_acceptance.py's fixture, which pools min(8, cores)
 CRITERION_8 = """\
@@ -71,18 +77,34 @@ def commands(workload: str, seconds: float, seed, trace: bool) -> dict:
             + (["--trace", "1"] if trace else [])}
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold code: not blank, not only a
+    comment, and not part of a module, class or function docstring."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
 def commit_of(checkout: Path) -> dict:
     """The checked-out commit, whether the tree differs from it, and the
-    line count of the program, ``src/wcslp/*.py``, as ``wc -l`` counts it."""
+    size of the program, ``src/wcslp/*.py``: ``src_lines`` as ``wc -l``
+    counts it, ``src_code_lines`` as :func:`code_lines` does."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(checkout), *args],
                               capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain")
+    paths = sorted((checkout / "src" / "wcslp").glob("*.py"))
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status),
-            "src_lines": sum(path.read_bytes().count(b"\n")
-                             for path in (checkout / "src" / "wcslp").glob("*.py"))}
+            "src_lines": sum(path.read_bytes().count(b"\n") for path in paths),
+            "src_code_lines": sum(code_lines(path.read_text()) for path in paths)}
 
 
 def run_once(checkout: Path, cmd: list[str]) -> dict:

@@ -155,11 +155,10 @@ def _sweep_config(data: dict, path: str, args) -> SweepConfig:
             raise ConfigError(f"unknown distortion preset {preset_name!r} "
                               f"(known: {sorted(DISTORTION_PRESETS)})", path)
         base = dict(DISTORTION_PRESETS[preset_name])
-    if "sigma_w_sq" in sec:
-        base["sigma_w_sq"] = sec.pop("sigma_w_sq")
-        base.pop("epsilon", None)  # stale radius; recalibrate unless given
-    if "confidence" in sec:
-        base["confidence"] = sec.pop("confidence")
+    for key in ("sigma_w_sq", "confidence"):
+        if key in sec:
+            base[key] = sec.pop(key)
+            base.pop("epsilon", None)  # stale radius; recalibrate unless given
     if "epsilon" in sec:
         base["epsilon"] = sec.pop("epsilon")
     try:

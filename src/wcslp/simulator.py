@@ -241,12 +241,9 @@ def energy_efficiency(ber: float, per_user_rate: float, mean_power: float) -> fl
 @dataclass
 class _BlockTally:
     bit_errors: int
-    bits: int
     power_sum: float
     used_symbols: int
-    failures: int
     violations: int
-    margin_pairs: int
     received: np.ndarray    # (n_r, used, 2)
     sent: np.ndarray        # (used, n_r)
 
@@ -318,7 +315,7 @@ def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
     """Detection, bit errors, power and noise-free CI margins of one block's
     transmitted signals, for C cells at once: ``ds`` is (C, S, 2 n_r),
     ``x_clean`` (C, S, 2 n_t), ``powers`` and ``ok`` (C, S).  Gives one
-    tally per cell; rows where ``ok`` is False count as failures only.
+    tally per cell; rows where ``ok`` is False are left out of it.
 
     Every step is per slot (each cell's H x is its own matrix product), so a
     cell's tally does not depend on the others in the stack.
@@ -334,10 +331,8 @@ def _tally(h, symbols, noise, ds, const: PskConstellation, x_clean, powers,
     violations = np.sum(margins.min(axis=3) < -_VIOLATION_RTOL * scale, axis=2)
     n_used = ok.sum(axis=1).tolist()
     return [_BlockTally(bit_errors=int(bit_errors[c, used].sum()),
-                        bits=n_used[c] * n_r * const.bits_per_symbol,
                         power_sum=float(powers[c, used].sum()), used_symbols=n_used[c],
-                        failures=n_sym - n_used[c], violations=int(violations[c, used].sum()),
-                        margin_pairs=n_used[c] * n_r,
+                        violations=int(violations[c, used].sum()),
                         received=np.transpose(received[c, used], (1, 0, 2)),
                         sent=symbols[used])
             for c, used in enumerate(ok)]
@@ -417,7 +412,9 @@ def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, schem
     metrics = dict.fromkeys(("mean_power", "ber", "mi_bits_per_user", "energy_efficiency"),
                             math.nan)
     if used:
-        ber = sum(t.bit_errors for t in tallies) / sum(t.bits for t in tallies)
+        pairs = used * config.n_r       # (slot, user) pairs, each one received symbol
+        bits = pairs * int(math.log2(config.constellation_order))  # order is a power of two
+        ber = sum(t.bit_errors for t in tallies) / bits
         mean_power = sum(t.power_sum for t in tallies) / used
         received = np.concatenate([t.received for t in tallies], axis=1)
         sent = np.concatenate([t.sent for t in tallies], axis=0)
@@ -426,9 +423,9 @@ def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, schem
         rate_factor = (1.0 - ber) if config.ee_complement else ber
         metrics = dict(mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
                        energy_efficiency=energy_efficiency(rate_factor, mi, mean_power),
-                       ci_violation_rate=(sum(t.violations for t in tallies)
-                                          / sum(t.margin_pairs for t in tallies)))
+                       ci_violation_rate=sum(t.violations for t in tallies) / pairs)
     return MetricsRecord(gamma_db=gamma_db, beta=beta, scheme=scheme, blocks=config.blocks,
                          symbols_per_block=config.symbols_per_block,
-                         solver_failures=sum(t.failures for t in tallies), seed=config.seed,
+                         solver_failures=config.blocks * config.symbols_per_block - used,
+                         seed=config.seed,
                          **metrics)

@@ -10,9 +10,10 @@ which lies in (lam_bar_max, ||q||/eps + lam_bar_max], lam_bar_max =
 ||H||^2 + 1/beta (More and Sorensen's trust-region secular equation).  The
 solver has that maximiser in closed form (see :func:`wcslp.solver._bcd`), so
 no run path searches for the root.  ``solve_mu`` keeps one reference search,
-a Brent root finder on the analytic bracket, with its diagnostics; it and
-the one-design views of the loop's steps (``worst_case_w``, ``apgd_t_step``,
-``update_u``) serve only the checks.
+a Brent root finder that brackets the reciprocal form
+psi(mu) = 1/||w(mu)|| - 1/eps, finite and increasing on the whole bracket,
+with its diagnostics; it and the one-design views of the loop's steps
+(``worst_case_w``, ``apgd_t_step``, ``update_u``) serve only the checks.
 
 Each check draws seeded random instances and measures one property of the
 solver stack (root bracketing, inner-maximiser dominance, the closed-form
@@ -38,8 +39,6 @@ from .solver import (ProblemInstance, SolverConfig, _bmul, _ci_coefficients, _de
 # relative size of q below which the inner maximisation is treated as the
 # degenerate (pure eigenvector) case
 _DEGENERATE_RTOL = 1e-13
-# relative inset of the root bracket's left end above the pole boundary
-_BRACKET_INSET = 1e-10
 # brentq's tightest relative tolerance
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
@@ -65,10 +64,9 @@ def _w_parts(instance: ProblemInstance, gu, ht_phi):
 
 
 def _one_row_parts(u, t, instance: ProblemInstance):
-    """(G u, Phi(t)) of one design, as one-row arrays, and its ``_w_parts``."""
+    """``_w_parts`` of one design, as one-row arrays."""
     gu = np.asarray(u, dtype=float)[None] @ instance.g.T
-    phi_t = phi(t, instance.geometry)[None]
-    return (gu, phi_t) + _w_parts(instance, gu, phi_t @ instance.h)
+    return _w_parts(instance, gu, phi(t, instance.geometry)[None] @ instance.h)
 
 
 def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
@@ -82,52 +80,36 @@ def _secular_from_parts(mu: float, qt2: np.ndarray, poles: np.ndarray,
 def _root_from_parts(qt2: np.ndarray, poles: np.ndarray, eps: float, lam: float) -> float:
     """Largest secular root from precomputed eigen-parts.
 
-    f is strictly decreasing right of the poles and its largest root lies in
-    (lam, ||q||/eps + lam].  The search brackets it between
-    lo = lam (1 + inset) and that bound; when f(lo) <= 0 the root is squeezed
-    between the pole boundary and lo, and log-spaced gaps toward the pole
-    locate a point where f is positive.  One Brent search (``brentq``) at
-    its tightest relative tolerance finishes.
+    The zero of psi(mu) = 1/||w(mu)|| - 1/eps, with ||w(mu)||^2 =
+    sum qt2 / (poles - mu)^2, in (lam, ||q||/eps + lam]: psi is finite and
+    increasing there, and a pole that q weighs makes psi(lam) = -1/eps.  One
+    Brent search (``brentq``) at its tightest relative tolerance finds it.
+    Raises RootSearchError when psi(lam) >= 0 (no root above lam).
     """
-    eps2 = eps * eps
-    qn = math.sqrt(float(qt2.sum()))
-    lo = lam * (1.0 + _BRACKET_INSET)
-    hi = qn / eps + lam
+    weighed = qt2 > 0.0
 
-    def f(mu):
-        diff = poles - mu
-        return float(qt2 @ (1.0 / (diff * diff))) - eps2
+    def psi(mu):
+        d2 = (poles - mu) ** 2
+        with np.errstate(divide="ignore"):
+            norm2 = float(np.sum(np.divide(qt2, d2, out=np.zeros_like(d2), where=weighed)))
+        return 1.0 / math.sqrt(norm2) - 1.0 / eps
 
-    f_lo = f(lo)
-    if f_lo <= 0.0:
-        # Root squeezed between the pole boundary and the inset point: scan
-        # log-spaced gaps toward the pole until f turns positive.
-        gap = lo - lam
-        hi = lo
-        found = False
-        for _ in range(200):
-            gap *= 0.1
-            cand = lam + gap
-            if cand <= lam or gap < 4.0 * np.finfo(float).eps * lam:
-                break
-            if f(cand) > 0.0:
-                lo, found = cand, True
-                break
-            hi = cand
-        if not found:
-            raise RootSearchError(
-                "no sign change above the pole boundary: "
-                f"lam_bar_max={lam!r}, f at inset={f_lo!r}, ||q||={qn!r}, eps={eps!r}")
-    elif f(hi) >= 0.0:
+    hi = math.sqrt(float(qt2.sum())) / eps + lam
+    psi_lo = psi(lam)
+    if psi_lo >= 0.0:
+        raise RootSearchError(
+            "no sign change above the pole boundary: "
+            f"lam_bar_max={lam!r}, psi(lam_bar_max)={psi_lo!r}, eps={eps!r}")
+    if psi(hi) <= 0.0:
         # the bound is attained (q on the top eigenvector), up to rounding
         return hi
     # xtol is absolute; scaled by lam < mu it is relative too
-    return brentq(f, lo, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
+    return brentq(psi, lam, hi, xtol=_BRENT_RTOL * lam, rtol=_BRENT_RTOL)
 
 
 def secular_value(mu: float, u, t, instance: ProblemInstance) -> float:
     """Secular function f(mu) = q^T (P - mu I)^{-2} q - eps^2."""
-    qt2 = _one_row_parts(u, t, instance)[3]
+    qt2 = _one_row_parts(u, t, instance)[1]
     return _secular_from_parts(mu, qt2[0], instance.poles, instance.epsilon)
 
 
@@ -135,7 +117,7 @@ def mu_bracket(u, t, instance: ProblemInstance) -> tuple[float, float]:
     """Root bracket (lam_bar_max, ||q||/eps + lam_bar_max] for the multiplier."""
     if instance.epsilon <= 0:
         raise ValueError("bracket undefined for epsilon = 0 (w is fixed to 0)")
-    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    _, qt2, degen = _one_row_parts(u, t, instance)
     if degen[0]:
         raise ValueError("degenerate q = 0: no secular root exists")
     qn = math.sqrt(float(qt2.sum()))
@@ -152,7 +134,7 @@ def solve_mu(u, t, instance: ProblemInstance) -> float:
     """
     if instance.epsilon <= 0:
         raise ValueError("solve_mu requires epsilon > 0")
-    _, _, _, qt2, degen = _one_row_parts(u, t, instance)
+    _, qt2, degen = _one_row_parts(u, t, instance)
     if degen[0]:
         return instance.lam_bar_max
     return _root_from_parts(qt2[0], instance.poles, instance.epsilon, instance.lam_bar_max)
@@ -162,7 +144,7 @@ def worst_case_w(u, t, mu: float, instance: ProblemInstance) -> np.ndarray:
     """Inner maximiser w = -(P - mu I)^{-1} q on the distortion sphere."""
     if instance.epsilon == 0:
         return np.zeros(2 * instance.channel.n_t)
-    _, _, qt, _, degen = _one_row_parts(u, t, instance)
+    qt, _, degen = _one_row_parts(u, t, instance)
     if degen[0]:
         return _degenerate_w(1, instance)[0]
     if np.min(np.abs(instance.poles - mu)) <= 1e-13 * max(1.0, abs(mu)):
@@ -176,12 +158,12 @@ def count_secular_roots(u, t, instance: ProblemInstance) -> int:
     The real line is partitioned at the distinct poles of f.  On each outer
     tail f is monotone with limit -eps^2, giving one root per tail; on each
     interior interval f is strictly convex, so the sign of its minimum
-    (located by bisection on f') decides between zero and two roots.
+    (the root of f', found by ``brentq``) decides between zero and two roots.
     Tangential double roots count as two.
     """
     if instance.epsilon <= 0:
         return 0
-    qt2 = _one_row_parts(u, t, instance)[3][0]
+    qt2 = _one_row_parts(u, t, instance)[1][0]
     total = float(qt2.sum())
     if not total > 0.0:
         raise ValueError("count_secular_roots requires q != 0")
@@ -210,15 +192,7 @@ def count_secular_roots(u, t, instance: ProblemInstance) -> int:
         hi = p_right - 1e-9 * width
         if fprime(lo) >= 0.0 or fprime(hi) <= 0.0:
             continue  # minimum sits inside a guard sliver next to a pole
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if fprime(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        if f(0.5 * (lo + hi)) <= 0.0:
+        if f(brentq(fprime, lo, hi, xtol=_BRENT_RTOL * p_right, rtol=_BRENT_RTOL)) <= 0.0:
             count += 2  # a tangency counts with multiplicity
     return count
 

@@ -92,7 +92,7 @@ def test_summary_keeps_the_recorded_layout(monkeypatch, checkouts, workload):
     for name in cpu_rows:
         assert entry["summary"][name]["unit"] == "s"
         assert entry["summary"][name]["better"] == "lower"
-    assert entry["parent"].keys() == recorded["parent"].keys()
+    assert entry["parent"].keys() == recorded["parent"].keys() | {"src_code_lines"}
 
 
 def test_other_workloads_in_out_are_kept(monkeypatch, checkouts):
@@ -140,3 +140,38 @@ def test_trace_needs_a_perfbench_workload(monkeypatch, checkouts):
         run(checkouts, "wall", 2, 7, "--trace")
     assert exc.value.code == 2
     assert not calls
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "wcslp"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    text = """a string that is
+not a docstring"""
+    return (x +   # inside brackets
+            # a comment between the operands
+            math.pi)
+''')
+    (package / "b.py").write_text('''class C:
+    """Class docstring."""
+
+    def g(self):
+        \'\'\'Docstring in single quotes
+        over two lines.\'\'\'
+        "a string statement that is not first"
+        return 1
+''')
+    (package / "notes.txt").write_text("not python\n")
+    sizes = bench_pairs.commit_of(tmp_path)
+    assert sizes["src_lines"] == 14 + 8
+    # a.py: import, def, the two lines of text, return, math.pi;
+    # b.py: class, def, the string statement, return
+    assert sizes["src_code_lines"] == 6 + 4

@@ -4,6 +4,7 @@ import pytest
 
 import wcslp.cli as cli
 from wcslp.cli import main
+from wcslp.simulator import calibrate_epsilon
 
 SWEEP_INI = """\
 [sweep]
@@ -116,6 +117,23 @@ def test_sweep_echo_block_is_pinned(tmp_path):
         "# solver.outer_tol = 0.001",
         "# symbols_per_block = 10",
     ]
+
+
+@pytest.mark.parametrize("keys, epsilon", [
+    ("confidence = 0.5", calibrate_epsilon(0.5, 0.02, 4)),
+    ("sigma_w_sq = 0.05", calibrate_epsilon(0.99, 0.05, 4)),
+    ("confidence = 0.5\nsigma_w_sq = 0.05", calibrate_epsilon(0.5, 0.05, 4)),
+    ("confidence = 0.5\nepsilon = 0.3", 0.3),
+    ("", 0.56),
+], ids=["confidence", "sigma-w-sq", "both", "given-radius", "preset"])
+def test_sweep_radius_is_recalibrated_unless_given(tmp_path, keys, epsilon):
+    # either calibration input makes the preset's radius stale
+    path = tmp_path / "radius.ini"
+    path.write_text(SWEEP_INI.replace("seed = 5\n", f"seed = 5\n{keys}\n"))
+    out = tmp_path / "radius.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out),
+                 "--schemes", "nominal-slp"]) == 0
+    assert f"# epsilon = {epsilon:.17g}" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("command, ini, work, in_file, target", [

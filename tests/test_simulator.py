@@ -524,20 +524,35 @@ def test_stacked_tally_is_one_tally_per_cell():
             np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
     assert stacked[1].violations > 0 and stacked[1].bit_errors > 0
     everything_failed = stacked[4]
-    assert (everything_failed.failures, everything_failed.used_symbols,
-            everything_failed.power_sum) == (n_sym, 0, 0.0)
+    assert (everything_failed.used_symbols, everything_failed.power_sum) == (0, 0.0)
     assert everything_failed.received.shape == (n_r, 0, 2)
 
     used = ok[2]
     [kept] = tally(h, symbols[used], noise[used], ds[2:3, used], QPSK, x[2:3, used],
                    powers[2:3, used], np.ones((1, used.sum()), dtype=bool))
     failed = stacked[2]
-    assert failed.failures == 4 and kept.failures == 0
-    for name in ("bit_errors", "bits", "power_sum", "used_symbols", "violations",
-                 "margin_pairs"):
+    assert failed.used_symbols == kept.used_symbols == n_sym - 4
+    for name in ("bit_errors", "power_sum", "violations"):
         assert getattr(failed, name) == getattr(kept, name), name
     np.testing.assert_array_equal(failed.sent, symbols[used])
     np.testing.assert_allclose(failed.received, kept.received, rtol=1e-14, atol=0)
+
+
+def test_reduced_counts_follow_from_the_used_symbols():
+    # bits, (slot, user) pairs and failures are derived from the used slots:
+    # 3 bits per 8-PSK symbol, 3 users, 2 blocks of 10 slots
+    rng = np.random.default_rng(13)
+    config = SweepConfig(n_t=4, n_r=3, blocks=2, symbols_per_block=10,
+                         constellation_order=8, mi_bins=4)
+    tallies = [simulator_module._BlockTally(
+        bit_errors=errors, power_sum=power, used_symbols=used, violations=violations,
+        received=rng.standard_normal((3, used, 2)), sent=rng.integers(0, 8, (used, 3)))
+        for errors, power, used, violations in ((5, 7.0, 9, 2), (1, 3.0, 4, 1))]
+    record = simulator_module._reduce_cell(config, 4.0, None, "nominal-slp", tallies)
+    assert record.solver_failures == 20 - 13
+    assert record.ber == 6 / (13 * 3 * 3)
+    assert record.ci_violation_rate == 3 / (13 * 3)
+    assert record.mean_power == 10.0 / 13
 
 
 def test_run_sweep_rejects_overloaded_system():

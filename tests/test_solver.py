@@ -484,8 +484,8 @@ def test_root_search_certifies_a_sign_change():
     rng = np.random.default_rng(15)
     inst = random_instance(rng, 4, beta=10.0, eps=0.56)
     lam, poles, eps = inst.lam_bar_max, inst.poles, inst.epsilon
-    inset = validation_module._BRACKET_INSET
-    qt2 = [validation_module._one_row_parts(*random_point(rng, inst), inst)[3][0]
+    inset = 1e-10
+    qt2 = [validation_module._one_row_parts(*random_point(rng, inst), inst)[1][0]
            for _ in range(6)]
     # a squeezed root: q on the top eigenvector so small that the root lies
     # between the pole boundary and the inset point, and on the lowest one
@@ -514,6 +514,27 @@ def test_root_search_certifies_a_sign_change():
     assert np.all((lam < root) & (root <= hi))
     assert root[-2] < lo
     assert root[-3] == pytest.approx(hi[-3], rel=1e-14)
+
+
+def test_root_search_in_the_hard_case():
+    # q puts no weight on the top pole, only on the lowest one: above
+    # lam_bar_max, ||w(mu)|| decreases from ||w(lam_bar_max)||, which is finite
+    rng = np.random.default_rng(15)
+    inst = random_instance(rng, 4, beta=10.0, eps=0.56)
+    lam, poles, eps = inst.lam_bar_max, inst.poles, inst.epsilon
+    assert poles[0] < 0.9 * lam
+    for ratio in (0.5, 0.99):
+        # ||w(lam_bar_max)|| = ratio * eps < eps: no root above the pole boundary
+        hard = np.zeros(8)
+        hard[0] = (ratio * (lam - poles[0]) * eps) ** 2
+        with pytest.raises(validation_module.RootSearchError):
+            validation_module._root_from_parts(hard, poles, eps, lam)
+    # ||w(lam_bar_max)|| = 2 eps > eps: the root is poles[0] + ||q|| / eps
+    hard[0] = (2.0 * (lam - poles[0]) * eps) ** 2
+    mu = validation_module._root_from_parts(hard, poles, eps, lam)
+    assert validation_module._secular_from_parts(mu * (1 - 1e-12), hard, poles, eps) > 0.0
+    assert validation_module._secular_from_parts(mu * (1 + 1e-12), hard, poles, eps) <= 0.0
+    assert mu == pytest.approx(2.0 * lam - poles[0], rel=1e-14)
 
 
 def test_loop_w_step_is_the_inner_maximiser_of_the_previous_iterate():

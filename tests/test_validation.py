@@ -52,7 +52,7 @@ def test_individual_checks_quick():
 # the reference secular maths and the one-design views of the loop's steps,
 # which only the property checks use
 REFERENCE = ("SecularPoleError", "RootSearchError", "_DEGENERATE_RTOL",
-             "_BRACKET_INSET", "_BRENT_RTOL", "SolverState", "_w_parts",
+             "_BRENT_RTOL", "SolverState", "_w_parts",
              "_one_row_parts", "_root_from_parts", "_secular_from_parts",
              "secular_value", "mu_bracket", "solve_mu", "worst_case_w", "_t_step",
              "_residual", "apgd_t_step", "update_u", "count_secular_roots")
