@@ -11,8 +11,9 @@ design, scales by sqrt(gamma) to the other SNRs.  The robust designs of all
 slots are solved in one batch per beta.  The signals go through the block's
 channel with additive receiver noise, and single-user ML detection runs at
 each receiver, for every cell of the block in one stacked tally.  A cell's
-rate is one plug-in MI estimate over all of its users, from the occupied
-cells of their joint histograms.  Identical seeds give identical metrics for
+rate is the mean of its users' plug-in MI estimates, from the occupied cells
+of their joint histograms: one MI estimate per sample count per sweep, over
+every user of every cell with it.  Identical seeds give identical metrics for
 any degree of parallelism, and comparisons across beta, gamma and scheme
 reuse the draws.
 """
@@ -384,9 +385,10 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     processes, and no more than the cores this process may run on, and
     reduced in block order, so the records are identical for any worker
     count; each worker runs BLAS on one thread.
-    The blocks' tallies are keyed by cell, and each key is reduced once, with
-    one MI estimate over all of its users: a nominal scheme's, shared by
-    every beta, once per (gamma, scheme).
+    The blocks' tallies are keyed by cell, and each key is reduced once: a
+    nominal scheme's, shared by every beta, once per (gamma, scheme).  There
+    is one MI estimate per sample count per sweep, over every user of every
+    cell with it (:func:`_cells_mi`).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
@@ -398,16 +400,33 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
             per_block = list(pool.map(run, range(config.blocks)))
     else:
         per_block = [run(b) for b in range(config.blocks)]
-    reduced = {key: _reduce_cell(config, *key, [tallies[key] for tallies in per_block])
-               for key in per_block[0]}
+    cells = {key: [tallies[key] for tallies in per_block] for key in per_block[0]}
+    reduced = {key: _reduce_cell(config, *key, tallies, mi) for (key, tallies), mi
+               in zip(cells.items(), _cells_mi(config, list(cells.values())))}
     return [replace(reduced[gamma_db, beta if scheme == "wc-slp" else None, scheme],
                     gamma_db=gamma_db, beta=beta)
             for gamma_db in config.gamma_db_grid for beta in config.beta_grid
             for scheme in config.schemes]
 
 
+def _cells_mi(config: SweepConfig, cells: list[list[_BlockTally]]) -> list[float]:
+    """Each cell's MI per user, the mean of its users' estimates (NaN with no
+    used sample), from one :func:`estimate_mi` call per used-sample count."""
+    used = [sum(t.used_symbols for t in tallies) for tallies in cells]
+    mi = [math.nan] * len(cells)
+    for n in set(used) - {0}:
+        rows = [c for c, n_c in enumerate(used) if n_c == n]
+        received = np.stack([np.concatenate([t.received for t in cells[c]], axis=1)
+                             for c in rows])
+        sent = np.stack([np.concatenate([t.sent for t in cells[c]]).T for c in rows])
+        per_user = estimate_mi(received, sent, config.constellation_order, config.mi_bins)
+        for c, row in zip(rows, per_user):
+            mi[c] = float(np.mean(row))
+    return mi
+
+
 def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, scheme: str,
-                 tallies: list[_BlockTally]) -> MetricsRecord:
+                 tallies: list[_BlockTally], mi: float) -> MetricsRecord:
     used = sum(t.used_symbols for t in tallies)
     metrics = dict.fromkeys(("mean_power", "ber", "mi_bits_per_user", "energy_efficiency"),
                             math.nan)
@@ -416,10 +435,6 @@ def _reduce_cell(config: SweepConfig, gamma_db: float, beta: float | None, schem
         bits = pairs * int(math.log2(config.constellation_order))  # order is a power of two
         ber = sum(t.bit_errors for t in tallies) / bits
         mean_power = sum(t.power_sum for t in tallies) / used
-        received = np.concatenate([t.received for t in tallies], axis=1)
-        sent = np.concatenate([t.sent for t in tallies], axis=0)
-        mi = float(np.mean(estimate_mi(received, sent.T, config.constellation_order,
-                                       config.mi_bins)))
         rate_factor = (1.0 - ber) if config.ee_complement else ber
         metrics = dict(mean_power=mean_power, ber=ber, mi_bits_per_user=mi,
                        energy_efficiency=energy_efficiency(rate_factor, mi, mean_power),

@@ -367,40 +367,83 @@ def test_wc_slp_power_is_read_on_the_designed_output(monkeypatch):
             float(np.sum(x * x)), rel=1e-12)
 
 
-@pytest.mark.parametrize("parallel", [1, 2])
-def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
-    # a nominal scheme's tally serves every beta: one MI estimate, over all
-    # users, per (gamma, scheme), where wc-slp needs one per (gamma, beta); a
-    # repeated grid entry is a cell already reduced, and the records read
-    # the same as the grid's without repeats, put in the grid's order
-    calls = Counter()
+def count_mi_calls(monkeypatch) -> list:
+    """Patch the sweep's estimate_mi to log each call's (cells, n_r, N)."""
+    calls = []
 
-    def counted(*args, _original=simulator_module.estimate_mi, **kwargs):
-        calls["estimate_mi"] += 1
-        return _original(*args, **kwargs)
+    def counted(received, *args, **kwargs):
+        calls.append(np.shape(received)[:-1])
+        return estimate_mi(received, *args, **kwargs)
 
     monkeypatch.setattr(simulator_module, "estimate_mi", counted)
+    return calls
+
+
+def per_cell_reference(cfg) -> list:
+    """The sweep's records reduced cell by cell, each cell's MI from its own
+    estimate_mi call over its users."""
+    per_block = [simulator_module._run_block(cfg, b) for b in range(cfg.blocks)]
+    records = []
+    for g in cfg.gamma_db_grid:
+        for b in cfg.beta_grid:
+            for s in cfg.schemes:
+                tallies = [t[g, b if s == "wc-slp" else None, s] for t in per_block]
+                mi = math.nan
+                if sum(t.used_symbols for t in tallies):
+                    received = np.concatenate([t.received for t in tallies], axis=1)
+                    sent = np.concatenate([t.sent for t in tallies]).T
+                    mi = float(np.mean(estimate_mi(received, sent, cfg.constellation_order,
+                                                   cfg.mi_bins)))
+                records.append(simulator_module._reduce_cell(cfg, g, b, s, tallies, mi))
+    return records
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
+    # a nominal scheme's tally serves every beta: its users are estimated
+    # once per (gamma, scheme), where wc-slp's are once per (gamma, beta); a
+    # repeated grid entry is a cell already reduced, and the records read
+    # the same as the grid's without repeats, put in the grid's order.  All
+    # cells with the same number of used slots share one estimate_mi call.
+    calls = count_mi_calls(monkeypatch)
     cfg = small_config(beta_grid=(1.0, 10.0, 100.0), parallel=parallel)
     records = run_sweep(cfg)
     n_nominal = len(cfg.schemes) - 1
-    reductions = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + n_nominal)
-    assert calls["estimate_mi"] == reductions
-    per_block = [simulator_module._run_block(cfg, b) for b in range(cfg.blocks)]
-    cells = [(g, b, s) for g in cfg.gamma_db_grid for b in cfg.beta_grid
-             for s in cfg.schemes]
-    per_cell = [simulator_module._reduce_cell(
-        cfg, g, b, s, [t[g, b if s == "wc-slp" else None, s] for t in per_block])
-        for g, b, s in cells]
-    assert [asdict(r) for r in records] == [asdict(r) for r in per_cell]
+    cells = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + n_nominal)
+    assert all(r.solver_failures == 0 for r in records)
+    assert [n for _, _, n in calls] == [cfg.blocks * cfg.symbols_per_block]
+    assert sum(c * n_r for c, n_r, _ in calls) == cfg.n_r * cells
+    assert [asdict(r) for r in records] == [asdict(r) for r in per_cell_reference(cfg)]
 
     calls.clear()
     repeats = replace(cfg, gamma_db_grid=(12.0, 4.0, 12.0), beta_grid=(10.0, 1.0, 10.0, 100.0))
     repeated = run_sweep(repeats)
-    assert calls["estimate_mi"] == reductions
+    assert len(calls) == 1
+    assert sum(c * n_r for c, n_r, _ in calls) == cfg.n_r * cells
     by_cell = {(r.gamma_db, r.beta, r.scheme): asdict(r) for r in records}
     assert [asdict(r) for r in repeated] == [
         by_cell[g, b, s] for g in repeats.gamma_db_grid for b in repeats.beta_grid
         for s in repeats.schemes]
+
+
+def test_cells_with_unequal_sample_counts(monkeypatch):
+    # three BCD iterations leave wc-slp cells with 1, 4 or no converged slot
+    # of 36; each count is one estimate_mi call, and a cell without one is
+    # estimated in none of them
+    calls = count_mi_calls(monkeypatch)
+    cfg = small_config(gamma_db_grid=(0.0, 8.0, 16.0), beta_grid=(1.0, 100.0),
+                       solver=SolverConfig(max_iterations=3, outer_tol=1e-3))
+    records = run_sweep(cfg)
+    slots = cfg.blocks * cfg.symbols_per_block
+    counts = {slots - r.solver_failures for r in records}
+    assert counts == {0, 1, 4, 36}
+    assert sorted(n for _, _, n in calls) == sorted(counts - {0})
+    assert all(n_r == cfg.n_r for _, n_r, _ in calls)
+    failed = [r for r in records if r.solver_failures == slots]
+    assert failed and all(math.isnan(r.mi_bits_per_user) for r in failed)
+    cells = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + len(cfg.schemes) - 1)
+    assert sum(c for c, _, _ in calls) == cells - len(failed)
+    assert repr(records) == repr(per_cell_reference(cfg))
 
 
 def test_estimate_mi_rejects_unknown_symbols():
@@ -548,7 +591,8 @@ def test_reduced_counts_follow_from_the_used_symbols():
         bit_errors=errors, power_sum=power, used_symbols=used, violations=violations,
         received=rng.standard_normal((3, used, 2)), sent=rng.integers(0, 8, (used, 3)))
         for errors, power, used, violations in ((5, 7.0, 9, 2), (1, 3.0, 4, 1))]
-    record = simulator_module._reduce_cell(config, 4.0, None, "nominal-slp", tallies)
+    record = simulator_module._reduce_cell(config, 4.0, None, "nominal-slp", tallies, 1.25)
+    assert record.mi_bits_per_user == 1.25
     assert record.solver_failures == 20 - 13
     assert record.ber == 6 / (13 * 3 * 3)
     assert record.ci_violation_rate == 3 / (13 * 3)

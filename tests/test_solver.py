@@ -537,6 +537,24 @@ def test_root_search_in_the_hard_case():
     assert mu == pytest.approx(2.0 * lam - poles[0], rel=1e-14)
 
 
+def test_root_search_returns_the_bound_when_it_is_the_root():
+    # q on the top eigenvector alone: the root is the bracket's upper end
+    # hi = ||q|| / eps + lam, and at these sizes psi(hi) rounds below zero,
+    # where a bracketing search would see no sign change
+    rng = np.random.default_rng(15)
+    inst = random_instance(rng, 4, beta=10.0, eps=0.56)
+    lam, poles, eps = inst.lam_bar_max, inst.poles, inst.epsilon
+    assert poles[-1] == lam
+    for size in (0.1, 0.2, 0.65):
+        top = np.zeros(8)
+        top[-1] = (size * lam * eps) ** 2
+        hi = math.sqrt(top.sum()) / eps + lam
+        assert 1.0 / math.sqrt(top[-1] / (hi - lam) ** 2) - 1.0 / eps < 0.0
+        assert validation_module._root_from_parts(top, poles, eps, lam) == hi
+        f = validation_module._secular_from_parts(hi, top, poles, eps)
+        assert abs(f) / max(1.0, eps * eps) <= 4 * np.finfo(float).eps
+
+
 def test_loop_w_step_is_the_inner_maximiser_of_the_previous_iterate():
     # The exact u-update leaves q = -P w, so the loop's closed-form w-step
     # (w -> -w) must equal the root-search maximiser at the iterate it follows.
