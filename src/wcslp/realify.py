@@ -73,14 +73,19 @@ class RealChannel:
 
     @cached_property
     def whitener(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L^{-1}, L^{-1} H) for the lower Cholesky factor L of
-        H H^T = L L^T, both C-contiguous; ValueError unless H has full row
+        """:meth:`whitened` at delta = 0; ValueError unless H has full row
         rank."""
         h = self.matrix
         svals = np.linalg.svd(h, compute_uv=False)
         if svals[-1] <= max(h.shape) * np.finfo(float).eps * svals[0]:
             raise ValueError("channel must have full row rank")
-        chol = cholesky(h @ h.T, lower=True)
+        return self.whitened(0.0)
+
+    def whitened(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(L^{-1}, L^{-1} H) for the lower Cholesky factor L of
+        H H^T + delta I = L L^T, both C-contiguous."""
+        h = self.matrix
+        chol = cholesky(h @ h.T + delta * np.eye(len(h)), lower=True)
         l_inv = np.ascontiguousarray(solve_triangular(chol, np.eye(len(h)), lower=True))
         return l_inv, l_inv @ h
 

@@ -8,14 +8,17 @@ the grid's smallest SNR, and shared by every beta and both nominal schemes;
 every user of a cell has one gamma and one sigma (``SweepConfig`` has one of
 each; ``nominal_slp`` itself takes per-user gammas), so D s, and with it the
 design, scales by sqrt(gamma) to the other SNRs.  The robust designs of all
-slots are solved in one batch per beta.  The signals go through the block's
-channel with additive receiver noise, and single-user ML detection runs at
-each receiver, for every cell of the block in one stacked tally.  A cell's
-rate is the mean of its users' plug-in MI estimates, from the occupied cells
-of their joint histograms: one MI estimate per sample count per sweep, over
-every user of every cell with it.  Identical seeds give identical metrics for
-any degree of parallelism, and comparisons across beta, gamma and scheme
-reuse the draws.
+slots are solved in one batch per beta, each row of the BCD starting at the
+slack of its exact min-max design (``design_batch`` at delta = 1/beta), which
+is solved once per block and beta at the smallest SNR and scaled by
+sqrt(gamma) in the same way; ``wcslp solve`` starts its one row at t = 0.
+The signals go through the block's channel with additive receiver noise, and
+single-user ML detection runs at each receiver, for every cell of the block
+in one stacked tally.  A cell's rate is the mean of its users' plug-in MI
+estimates, from the occupied cells of their joint histograms: one MI
+estimate per sample count per sweep and chunk of cells, over every user of
+every cell in it.  Identical seeds give identical metrics for any degree of
+parallelism, and comparisons across beta, gamma and scheme reuse the draws.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from scipy.stats import chi2
 from .constellation import (PskConstellation, build_ci_geometry, ci_margin,
                             ml_detect_many)
 from .realify import RealChannel, RealDistortionMatrix, build_real_channel
-from .solver import ProblemInstance, SolverConfig, nominal_slp, solve_batch
+from .solver import ProblemInstance, SolverConfig, design_batch, nominal_slp, solve_batch
 
 SCHEMES = ("wc-slp", "nominal-slp", "nominal-under-distortion")
 
@@ -52,6 +55,10 @@ DISTORTION_PRESETS = {
 # of that relative size, so boundary-exact nominal margins get its benefit
 # at any scale of the design
 _VIOLATION_RTOL = 1e-9
+
+# most samples (cells x users x N) in one estimate_mi call of the sweep's
+# reduction: about 20 MB of transient arrays
+_MI_SAMPLES = 1 << 18
 
 
 @dataclass
@@ -271,25 +278,30 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
     wc-slp and (gamma_db, None, scheme) for a nominal scheme.
 
     Per gamma the block's geometry is built once.  Each slot's nominal design
-    is solved at the smallest gamma, whatever the grid's order, and scaled by
-    sqrt(gamma / gamma_ref) at the others, as D s is (all users share one
-    gamma and one sigma).  It serves every beta and both nominal schemes.
-    wc-slp runs once per beta.  A repeated grid entry is run once.  Every
-    cell's signals are collected first and tallied in one stacked call.
+    and, per beta, the slack t* of its exact min-max design (delta = 1/beta)
+    are solved at the smallest gamma, whatever the grid's order, and scaled
+    by sqrt(gamma / gamma_ref) at the others, as D s is (all users share one
+    gamma and one sigma).  The nominal design serves every beta and both
+    nominal schemes.  wc-slp runs once per beta, each row of its batched BCD
+    starting at its t*.  A repeated grid entry is run once.  Every cell's
+    signals are collected first and tallied in one stacked call.
     """
     chan, symbols, w_actual, noise = _block_draws(config, block_index)
     const = PskConstellation(config.constellation_order, config.phase_offset)
     n_sym = len(symbols)
     g_real = RealDistortionMatrix(matrix=np.eye(2 * config.n_t), n_t=config.n_t)
-    cells, x_ref = [], None     # (key, D s, transmitted signal, power, ok) per cell
+    betas = dict.fromkeys(config.beta_grid)
+    cells = []      # (key, D s, transmitted signal, power, ok) per cell
+    gamma_ref = x_ref = t_ref = None
     for gamma_db in sorted(set(config.gamma_db_grid)):
         gamma = 10.0 ** (gamma_db / 10.0)
         geometry = build_ci_geometry(symbols, gamma, config.noise_sigma, const)
+        gamma_ref = gamma_ref or gamma      # the grid's smallest gamma
+        scale = math.sqrt(gamma / gamma_ref)
         if set(config.schemes) - {"wc-slp"}:
-            if x_ref is None:   # the grid's smallest gamma
-                gamma_ref = gamma
+            if x_ref is None:
                 x_ref = np.stack([nominal_slp(chan.real, gm)[0] for gm in geometry])
-            x_nom = math.sqrt(gamma / gamma_ref) * x_ref
+            x_nom = scale * x_ref
             powers = np.sum(x_nom * x_nom, axis=1)
             # precoder output G^{-1} x_nom, so the transmitted signal is
             # x_nom + w; power is accounted on the designed signal
@@ -298,10 +310,13 @@ def _run_block(config: SweepConfig, block_index: int) -> dict[tuple, _BlockTally
                        np.ones(n_sym, dtype=bool))
                       for scheme, signal in signals.items() if scheme in config.schemes]
         if "wc-slp" in config.schemes:
-            for beta in dict.fromkeys(config.beta_grid):
+            if t_ref is None:
+                t_ref = {beta: design_batch(chan.real, geometry, 1.0 / beta)[1]
+                         for beta in betas}
+            for beta in betas:
                 proto = ProblemInstance(chan.real, g_real, geometry[0], beta,
                                         config.distortion.epsilon)
-                result = solve_batch(proto, geometry, config.solver)
+                result = solve_batch(proto, geometry, config.solver, start=scale * t_ref[beta])
                 # power on the designed output G u, as for the nominal schemes
                 x = result.u @ g_real.matrix.T      # (n_sym, 2 n_t)
                 cells.append(((gamma_db, beta, "wc-slp"), geometry.ds, x + w_actual,
@@ -387,8 +402,8 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
     count; each worker runs BLAS on one thread.
     The blocks' tallies are keyed by cell, and each key is reduced once: a
     nominal scheme's, shared by every beta, once per (gamma, scheme).  There
-    is one MI estimate per sample count per sweep, over every user of every
-    cell with it (:func:`_cells_mi`).
+    is one MI estimate per sample count and chunk of cells per sweep, over
+    every user of every cell in the chunk (:func:`_cells_mi`).
     Symbol slots whose solver did not converge are counted in
     ``solver_failures`` and excluded from every average.
     """
@@ -411,17 +426,23 @@ def run_sweep(config: SweepConfig) -> list[MetricsRecord]:
 
 def _cells_mi(config: SweepConfig, cells: list[list[_BlockTally]]) -> list[float]:
     """Each cell's MI per user, the mean of its users' estimates (NaN with no
-    used sample), from one :func:`estimate_mi` call per used-sample count."""
+    used sample), from one :func:`estimate_mi` call per used-sample count N
+    and chunk of cells.  A chunk holds as many cells as fit in
+    ``_MI_SAMPLES`` samples (cells x users x N), and at least one, so the
+    reduction's transient memory does not grow with the sweep; each group is
+    estimated on its own, so the chunking changes no estimate."""
     used = [sum(t.used_symbols for t in tallies) for tallies in cells]
     mi = [math.nan] * len(cells)
     for n in set(used) - {0}:
         rows = [c for c, n_c in enumerate(used) if n_c == n]
-        received = np.stack([np.concatenate([t.received for t in cells[c]], axis=1)
-                             for c in rows])
-        sent = np.stack([np.concatenate([t.sent for t in cells[c]]).T for c in rows])
-        per_user = estimate_mi(received, sent, config.constellation_order, config.mi_bins)
-        for c, row in zip(rows, per_user):
-            mi[c] = float(np.mean(row))
+        size = max(1, _MI_SAMPLES // (config.n_r * n))
+        for chunk in (rows[i:i + size] for i in range(0, len(rows), size)):
+            received = np.stack([np.concatenate([t.received for t in cells[c]], axis=1)
+                                 for c in chunk])
+            sent = np.stack([np.concatenate([t.sent for t in cells[c]]).T for c in chunk])
+            per_user = estimate_mi(received, sent, config.constellation_order, config.mi_bins)
+            for c, row in zip(chunk, per_user):
+                mi[c] = float(np.mean(row))
     return mi
 
 

@@ -30,6 +30,11 @@ action alpha z + beta conj(z) on the interleaved pair z = v_0 + i v_1
 (:func:`_bmul`).  The loop applies them to the identity once per call, to
 build the affine map's matrices, and to the stacked slack iterates at the
 end of each block, for Phi(t).
+
+:func:`design_batch` solves the hard-CI design of every slot of a block in
+closed form up to one NNLS per slot: at delta = 0 it is the nominal design
+(:func:`nominal_slp`), at delta = 1/beta the slack of the exact min-max
+design, where the link simulator starts the loop's rows.
 """
 
 from __future__ import annotations
@@ -285,11 +290,13 @@ _BLOCK, _LONG_BLOCK, _FEW_ROWS = 16, 64, 8
 
 
 def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
-         trace: list | None = None) -> BatchSolveResult:
+         trace: list | None = None, start: np.ndarray | None = None) -> BatchSolveResult:
     """The block coordinate ascent-descent loop over the slots of a geometry.
 
-    Each row starts from t = z = 0 and u equal to the regularised channel
-    inversion of D s (the w = 0 closed form), then repeats the w-step, the
+    Each row starts from t = z = t_0, its row of ``start`` (0 when
+    ``start`` is None, as for :func:`solve`; the link simulator passes the
+    exact min-max design's slack), and u_0 = G^{-1} P^{-1} H^T Phi(t_0), the
+    u-step's closed form at w = 0.  It then repeats the w-step, the
     t-step and the u-step until the relative change of (u, t) over a one- or
     two-iteration window drops below ``outer_tol``, and stops at the first
     iteration where it does.  A ``trace`` list gets, per block of
@@ -327,7 +334,10 @@ def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
         M1 t_{k-1} + M2 t_{k-2} + c_k,  M1 = (1 + mom) B + S K A^{-1},
         M2 = -mom B,  c_k = S (K D s - D s + 2 H w_k),
 
-    and at k = 1, where t_0 = z_0 = 0, it is c_1 = S (K D s - D s + H w_1).
+    and at k = 1, where z_0 = t_0 (the momentum starts at rest,
+    t_{-1} = t_0), it is c_1 = S (K D s - D s + H w_1): M1 t_0 + M2 t_{-1} =
+    B t_0 + S K A^{-1} t_0 supplies the t_0 part of r_1, so every constant
+    keeps its t = 0 term K D s whatever the start.
     M1 and M2 (:func:`_recurrence_maps`; M2 is skipped at zero momentum, as
     for QPSK) and the constants are built once per call, and the rows that
     stop leave them, D s and A^{-1} with the other working arrays.  An
@@ -365,7 +375,11 @@ def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
     # two-iteration window equal the one-iteration one at k = 1)
     u_buf, t_buf = np.empty((block + 2, count, n)), np.zeros((block + 2, count, m))
     prod = _phi_product(instance, a_inv, ds, t_buf[0])[1]
-    u_buf[:2], k_phi = prod[:, n:2 * n], prod[:, 2 * n:]
+    k_phi = prod[:, 2 * n:]         # K D s
+    if start is not None:
+        t_buf[:2] = start
+        prod = _phi_product(instance, a_inv, ds, t_buf[0], instance.u_ops)[1]
+    u_buf[:2] = prod[:, n:2 * n]
     # w_k, G^{-1} w_k and the constants c on a leading axis indexed by flip:
     # w_k = +-w_1 alternates with k
     w_pm = g_inv_w_pm = np.zeros((2, count, n))
@@ -473,33 +487,67 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
 
 def solve_batch(proto: ProblemInstance, geometry: CiGeometry,
-                config: SolverConfig | None = None) -> BatchSolveResult:
+                config: SolverConfig | None = None, *,
+                start: np.ndarray | None = None) -> BatchSolveResult:
     """Run the solver loop for many symbol slots of one channel at once.
 
     All slots share the channel, distortion matrix, beta and epsilon of
     ``proto``; ``geometry`` stacks their CI geometries.  Row j goes through
     the same update sequence as :func:`solve` on ``geometry[j]`` and leaves
-    the loop when its own termination test fires.  The link simulator calls
-    it once per (block, gamma, beta) with the block's geometry.
+    the loop when its own termination test fires.  Every row starts at
+    t = 0, as :func:`solve` does, unless ``start`` gives each row's finite,
+    non-negative start slack (shaped as ``geometry.ds``).  The link simulator
+    calls it once per (block, gamma, beta) with the block's geometry,
+    starting each row at the slack of its exact min-max design
+    (:func:`design_batch` at delta = 1/beta).
     """
-    return _bcd(proto, geometry, config or SolverConfig())
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != geometry.ds.shape or not np.all(np.isfinite(start) & (start >= 0)):
+            raise ValueError(f"start must be a finite, non-negative {geometry.ds.shape} "
+                             f"slack, got shape {start.shape}")
+    return _bcd(proto, geometry, config or SolverConfig(), start=start)
+
+
+def design_batch(channel: RealChannel, geometry: CiGeometry, delta: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-CI design of every slot of a geometry, on the channel
+    regularised by ``delta`` >= 0.
+
+    With L L^T = H H^T + delta I, t >= 0 minimises ||L^{-1} Phi(t)||^2, the
+    non-negative least-squares problem L^{-1} A^{-1} t ~ -L^{-1} D s, and
+    x = (L^{-1} H)^T L^{-1} Phi(t) = H^T (H H^T + delta I)^{-1} Phi(t), whose
+    second factor is that problem's residual.  At delta = 0 this is the
+    power-minimising design with H x = Phi(t) (:func:`nominal_slp`); at
+    delta = 1/beta, t is the slack of the exact min-max design of the relaxed
+    problem, which minimises Phi(t)^T (H H^T + I/beta)^{-1} Phi(t).
+
+    Each NNLS design is L^{-1} with each column pair scaled by its user's
+    2x2 block of A^{-1}, one (2 n_r x 2) by (2 x 2) product per (slot,
+    user); the designs of all slots are one stacked product, as are their
+    targets -L^{-1} D s, and scipy's ``nnls`` runs per slot.  Every slot's
+    products have the same shapes, so its design does not depend on the
+    other slots in the stack.  The delta = 0 factors are the channel's
+    cached ``whitener``; any other delta is factored once per call.  Returns
+    x and t with the leading shape of ``geometry.ds``.
+    """
+    l_inv, l_inv_h = channel.whitener if delta == 0 else channel.whitened(delta)
+    m = len(l_inv)
+    shape = geometry.ds.shape
+    ds = geometry.ds.reshape(-1, m, 1)
+    design = (l_inv.reshape(m, -1, 2).transpose(1, 0, 2)
+              @ geometry.a_inv_blocks).swapaxes(-3, -2).reshape(-1, m, m)
+    target = -(l_inv @ ds)
+    t = np.empty((len(ds), m, 1))
+    for slot in range(len(ds)):
+        t[slot, :, 0] = nnls(design[slot], target[slot])[0]
+    x = l_inv_h.T @ (design @ t - target)
+    return x.reshape(shape[:-1] + (-1,)), t.reshape(shape)
 
 
 def nominal_slp(channel: RealChannel, geometry: CiGeometry
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Undistorted power-minimising precoder with hard CI constraints.
-
-    Solves min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0.  With
-    L L^T = H H^T, x = H^+ Phi(t) has ||x|| = ||L^{-1} Phi(t)||, so t is the
-    non-negative least-squares solution of L^{-1} A^{-1} t ~ -L^{-1} D s,
-    and x = (L^{-1} H)^T L^{-1} Phi(t), whose second factor is that problem's
-    residual.  The design L^{-1} A^{-1} scales each column pair of L^{-1} by
-    its user's 2x2 block; the channel's whitener (L^{-1}, L^{-1} H) is
-    computed on its first design and shared by the later ones.
-    """
-    l_inv, l_inv_h = channel.whitener
-    m = len(l_inv)
-    design = (l_inv.reshape(m, -1, 1, 2) @ _one_slot(geometry).a_inv_blocks).reshape(m, m)
-    target = -(l_inv @ geometry.ds)
-    t, _ = nnls(design, target)
-    return l_inv_h.T @ (design @ t - target), t
+    """Undistorted power-minimising precoder with hard CI constraints for
+    one slot: min ||x||^2 subject to H x = D s + A^{-1} t, t >= 0, which is
+    :func:`design_batch` at delta = 0."""
+    return design_batch(channel, _one_slot(geometry), 0.0)

@@ -331,7 +331,9 @@ def test_block_is_the_work_unit(monkeypatch):
     records = run_sweep(cfg)
     gammas, betas = cfg.gamma_db_grid, cfg.beta_grid
     assert calls["_block_draws"] == cfg.blocks
-    assert calls["cholesky"] == cfg.blocks      # one factor per channel
+    # one factor per channel for the nominal designs, and one per (channel,
+    # beta) for the exact designs that start wc-slp
+    assert calls["cholesky"] == cfg.blocks * (1 + len(betas))
     assert calls["build_ci_geometry"] == cfg.blocks * len(gammas)   # one stack of slots
     assert calls["nominal_slp"] == cfg.blocks * cfg.symbols_per_block   # shared by every gamma
     assert calls["solve_batch"] == cfg.blocks * len(gammas) * len(betas)
@@ -351,8 +353,8 @@ def test_wc_slp_power_is_read_on_the_designed_output(monkeypatch):
     def doubled(matrix, n_t):
         return realify_module.RealDistortionMatrix(matrix=2.0 * matrix, n_t=n_t)
 
-    def captured(*args, _original=simulator_module.solve_batch):
-        results.append(_original(*args))
+    def captured(*args, _original=simulator_module.solve_batch, **kwargs):
+        results.append(_original(*args, **kwargs))
         return results[-1]
     results = []
     monkeypatch.setattr(simulator_module, "RealDistortionMatrix", doubled)
@@ -427,16 +429,16 @@ def test_each_distinct_tally_is_reduced_once(monkeypatch, parallel):
 
 
 def test_cells_with_unequal_sample_counts(monkeypatch):
-    # three BCD iterations leave wc-slp cells with 1, 4 or no converged slot
-    # of 36; each count is one estimate_mi call, and a cell without one is
-    # estimated in none of them
+    # three BCD iterations from the exact designs' slack leave wc-slp cells
+    # with 1, 5 or no converged slot of 36; each count is one estimate_mi
+    # call, and a cell without one is estimated in none of them
     calls = count_mi_calls(monkeypatch)
     cfg = small_config(gamma_db_grid=(0.0, 8.0, 16.0), beta_grid=(1.0, 100.0),
                        solver=SolverConfig(max_iterations=3, outer_tol=1e-3))
     records = run_sweep(cfg)
     slots = cfg.blocks * cfg.symbols_per_block
     counts = {slots - r.solver_failures for r in records}
-    assert counts == {0, 1, 4, 36}
+    assert counts == {0, 1, 5, 36}
     assert sorted(n for _, _, n in calls) == sorted(counts - {0})
     assert all(n_r == cfg.n_r for _, n_r, _ in calls)
     failed = [r for r in records if r.solver_failures == slots]
@@ -444,6 +446,25 @@ def test_cells_with_unequal_sample_counts(monkeypatch):
     cells = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + len(cfg.schemes) - 1)
     assert sum(c for c, _, _ in calls) == cells - len(failed)
     assert repr(records) == repr(per_cell_reference(cfg))
+
+
+@pytest.mark.parametrize("budget_cells, chunk", [(0.5, 1), (2.5, 2), (4, 4)])
+def test_mi_calls_stay_under_the_sample_budget(monkeypatch, budget_cells, chunk):
+    # a sample count's cells are estimated in chunks of at most _MI_SAMPLES
+    # samples (cells x users x N), and at least one cell, with the records of
+    # one estimate per cell
+    calls = count_mi_calls(monkeypatch)
+    cfg = small_config(beta_grid=(1.0, 10.0, 100.0))
+    samples = cfg.n_r * cfg.blocks * cfg.symbols_per_block      # one cell's
+    budget = int(budget_cells * samples)
+    monkeypatch.setattr(simulator_module, "_MI_SAMPLES", budget)
+    records = run_sweep(cfg)
+    cells = len(cfg.gamma_db_grid) * (len(cfg.beta_grid) + len(cfg.schemes) - 1)
+    assert all(r.solver_failures == 0 for r in records)
+    assert [c for c, _, _ in calls] == [chunk] * (cells // chunk) + [cells % chunk] * (
+        cells % chunk > 0)
+    assert all(c * n_r * n <= budget or c == 1 for c, n_r, n in calls)
+    assert [asdict(r) for r in records] == [asdict(r) for r in per_cell_reference(cfg)]
 
 
 def test_estimate_mi_rejects_unknown_symbols():

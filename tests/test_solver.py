@@ -1,17 +1,19 @@
+import importlib.util
 import math
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 import wcslp.solver as solver_module
 import wcslp.validation as validation_module
 
 from wcslp.constellation import PskConstellation, build_ci_geometry
 from wcslp.realify import build_real_channel, build_real_distortion
-from wcslp.solver import (BatchSolveResult, ProblemInstance, SolverConfig,
+from wcslp.solver import (BatchSolveResult, ProblemInstance, SolverConfig, design_batch,
                           nominal_slp, phi, relaxed_objective, solve, solve_batch)
 from wcslp.validation import (SecularPoleError, SolverState, apgd_t_step,
                               count_secular_roots, mu_bracket, random_instance,
@@ -334,7 +336,7 @@ def test_nominal_slp_feasibility_and_oracle():
 def test_nominal_slp_matches_triangular_solves():
     # the whitener's products agree with triangular solves on the Cholesky
     # factor and the dense A^{-1}
-    from scipy.linalg import cholesky, solve_triangular
+    from scipy.linalg import cholesky
     from scipy.optimize import nnls
     rng = np.random.default_rng(12)
     for n in (2, 4, 8):
@@ -737,14 +739,15 @@ def test_block_stop_equals_the_every_iteration_stop_on_one_row(monkeypatch):
     assert outcomes >= {(True, False), (False, True)}
 
 
-def _reference_loop(inst, cfg):
-    """The loop one iteration at a time from the public one-row steps: the
-    closed-form w-step (w_1 = +eps v_top, then w -> -w), ``apgd_t_step`` with
-    its residual taken directly from (u, w), ``update_u``, and the stopping
-    test on the one- and two-iteration windows.  Returns
+def _reference_loop(inst, cfg, t0=None):
+    """The loop one iteration at a time from the public one-row steps,
+    started at t = z = ``t0`` (0 by default) with u = ``update_u(t0, 0)``:
+    the closed-form w-step (w_1 = +eps v_top, then w -> -w), ``apgd_t_step``
+    with its residual taken directly from (u, w), ``update_u``, and the
+    stopping test on the one- and two-iteration windows.  Returns
     (u, t, w, iterations, converged, limit_cycle)."""
     tol2 = cfg.outer_tol ** 2
-    t = z = np.zeros(2 * inst.channel.n_r)
+    t = z = np.zeros(2 * inst.channel.n_r) if t0 is None else t0
     w = np.zeros(2 * inst.channel.n_t)
     u = update_u(t, w, inst)
     before = [(u, t), (u, t)]       # the iterates two and one steps back
@@ -790,6 +793,123 @@ def test_loop_equals_the_reference_loop():
                                     err_msg=what)
                             outcomes.add((converged, limit_cycle))
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def _warm_problem(rng, order, beta, eps, slots=10):
+    """A random 4x4 channel and G, ``slots`` slots of one stacked geometry,
+    and a start slack per slot: the exact min-max design's, scaled per slot,
+    with some entries zeroed."""
+    inst = random_instance(rng, 4, beta=beta, eps=eps, order=order, random_g=True)
+    geoms = build_ci_geometry(rng.integers(0, order, (slots, 4)), inst.geometry.gammas,
+                              1.0, inst.geometry.constellation)
+    t0 = design_batch(inst.channel, geoms, 1.0 / beta)[1] * rng.uniform(0.5, 1.5, (slots, 1))
+    t0[rng.random(t0.shape) < 0.2] = 0.0
+    return ProblemInstance(inst.channel, inst.distortion, geoms[0], beta, eps), geoms, t0
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_warm_started_batch_equals_the_reference_loop(order):
+    # every row of a warm-started batch runs the reference loop from its own
+    # start; 8-PSK's momentum term M2 acts on t_{-1} = t_0 in the first step.
+    # Ten rows run 16-iteration blocks, so the budgets end inside a block, on
+    # its end and across blocks.
+    rng = np.random.default_rng(50 + order)
+    block = solver_module._BLOCK
+    outcomes = set()
+    for eps in (0.0, 0.56):
+        for beta in (1.0, 100.0, 1e4):
+            proto, geoms, t0 = _warm_problem(rng, order, beta, eps)
+            for budget in (1, 5, block, block + 3, 3 * block + 5):
+                for tol in (1e-2, 1e-8):
+                    cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
+                    batch = solve_batch(proto, geoms, cfg, start=t0)
+                    for j, geom in enumerate(geoms):
+                        inst = ProblemInstance(proto.channel, proto.distortion, geom, beta, eps)
+                        want = SimpleNamespace(**dict(zip(_RUN, _reference_loop(inst, cfg,
+                                                                                t0[j]))))
+                        got = SimpleNamespace(**{name: getattr(batch, name)[j]
+                                                 for name in _RUN})
+                        _assert_same_run(got, want, f"{eps} {beta} {budget} {tol} row {j}")
+                        outcomes.add(want.converged)
+    assert outcomes == {True, False}
+
+
+def test_solve_batch_rejects_a_bad_start():
+    rng = np.random.default_rng(57)
+    proto, geoms, t0 = _warm_problem(rng, 4, 1.0, 0.56)
+    bad = {"shape": t0[:-1], "one slot": t0[0], "negative": t0 - 1.0,
+           "nan": np.where(t0 > 0, np.nan, t0), "inf": np.full(t0.shape, np.inf)}
+    for what, start in bad.items():
+        with pytest.raises(ValueError, match="start"):
+            solve_batch(proto, geoms, SolverConfig(max_iterations=3), start=start)
+
+
+def _oracle():
+    """perfbench's independent min-max oracle module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_design_batch_slack_gives_the_min_max_optimum():
+    # at delta = 1/beta the kernel's t* is the exact min-max design's slack:
+    # F* = Phi(t*)^T (H H^T + I/beta)^{-1} Phi(t*) + beta eps^2 lam_max(P)
+    # equals the oracle's optimum
+    oracle_module = _oracle()
+    rng = np.random.default_rng(58)
+    checked = 0
+    for n in (2, 4, 8):
+        for order in (4, 8):
+            for beta in (1.0, 100.0, 1e4):
+                inst = random_instance(rng, n, beta=beta, eps=0.56, order=order,
+                                       random_g=True)
+                geoms = build_ci_geometry(rng.integers(0, order, (6, n)),
+                                          inst.geometry.gammas, 1.0, inst.geometry.constellation)
+                oracle = oracle_module.MinMaxOracle(inst.h, inst.g, beta, 0.56)
+                _, t_star = design_batch(inst.channel, geoms, 1.0 / beta)
+                assert np.all(t_star >= 0)
+                for geom, t in zip(geoms, t_star):
+                    a_inv = block_diag(*geom.a_inv_blocks)
+                    want = oracle.optimum(geom.ds, a_inv)[0]
+                    c = solve_triangular(oracle.chol, geom.ds + a_inv @ t, lower=True)
+                    got = float(c @ c) + beta * 0.56 ** 2 * float(oracle.lam[-1])
+                    assert got == pytest.approx(want, rel=1e-12), (n, order, beta)
+                    checked += 1
+    assert checked == 108
+
+
+def test_design_batch_at_delta_zero_is_nominal_slp():
+    # the stacked kernel equals nominal_slp slot by slot, to the last bit
+    rng = np.random.default_rng(59)
+    for n, order in ((1, 4), (2, 8), (4, 4), (8, 4), (8, 16)):
+        h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        chan = build_real_channel(h)
+        geoms = build_ci_geometry(rng.integers(0, order, (20, n)), 10.0, 1.0,
+                                  PskConstellation(order))
+        x, t = design_batch(chan, geoms, 0.0)
+        assert x.shape == (20, 2 * n) and t.shape == (20, 2 * n)
+        for j, geom in enumerate(geoms):
+            x_j, t_j = nominal_slp(chan, geom)
+            np.testing.assert_array_equal(x[j], x_j)
+            np.testing.assert_array_equal(t[j], t_j)
+
+
+def test_design_batch_slack_is_homogeneous_in_ds():
+    # D s scales by sqrt(gamma), and so do both designs' slacks: the sweep
+    # solves t* at one gamma per block and scales it to the others
+    rng = np.random.default_rng(60)
+    for delta in (0.0, 1.0, 1e-2, 1e-4):
+        inst = random_instance(rng, 8, order=8)
+        symbols = rng.integers(0, 8, (20, 8))
+        const = inst.geometry.constellation
+        _, t_ref = design_batch(inst.channel, build_ci_geometry(symbols, 2.0, 1.0, const), delta)
+        for c in (0.3, 2.0, 10.0):
+            _, t = design_batch(inst.channel,
+                                build_ci_geometry(symbols, 2.0 * c * c, 1.0, const), delta)
+            np.testing.assert_allclose(t, c * t_ref, rtol=1e-12,
+                                       atol=1e-12 * c * np.abs(t_ref).max())
 
 
 def test_max_iterations_must_be_an_integer():
