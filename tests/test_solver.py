@@ -795,14 +795,14 @@ def test_loop_equals_the_reference_loop():
     assert outcomes == {(False, False), (True, False), (True, True)}
 
 
-def _warm_problem(rng, order, beta, eps, slots=10):
-    """A random 4x4 channel and G, ``slots`` slots of one stacked geometry,
-    and a start slack per slot: the exact min-max design's, scaled per slot,
-    with some entries zeroed."""
+def _warm_problem(rng, order, beta, eps):
+    """A random 4x4 channel and G, 10 slots of one stacked geometry, and a
+    start slack per slot: the exact min-max design's, scaled per slot, with
+    some entries zeroed."""
     inst = random_instance(rng, 4, beta=beta, eps=eps, order=order, random_g=True)
-    geoms = build_ci_geometry(rng.integers(0, order, (slots, 4)), inst.geometry.gammas,
+    geoms = build_ci_geometry(rng.integers(0, order, (10, 4)), inst.geometry.gammas,
                               1.0, inst.geometry.constellation)
-    t0 = design_batch(inst.channel, geoms, 1.0 / beta)[1] * rng.uniform(0.5, 1.5, (slots, 1))
+    t0 = design_batch(inst.channel, geoms, 1.0 / beta)[1] * rng.uniform(0.5, 1.5, (10, 1))
     t0[rng.random(t0.shape) < 0.2] = 0.0
     return ProblemInstance(inst.channel, inst.distortion, geoms[0], beta, eps), geoms, t0
 
@@ -839,7 +839,7 @@ def test_solve_batch_rejects_a_bad_start():
     proto, geoms, t0 = _warm_problem(rng, 4, 1.0, 0.56)
     bad = {"shape": t0[:-1], "one slot": t0[0], "negative": t0 - 1.0,
            "nan": np.where(t0 > 0, np.nan, t0), "inf": np.full(t0.shape, np.inf)}
-    for what, start in bad.items():
+    for start in bad.values():
         with pytest.raises(ValueError, match="start"):
             solve_batch(proto, geoms, SolverConfig(max_iterations=3), start=start)
 
