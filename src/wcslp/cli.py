@@ -22,7 +22,7 @@ from .constellation import PskConstellation, build_ci_geometry
 from .realify import build_real_distortion
 from .simulator import (DISTORTION_PRESETS, SCHEMES, DistortionSpec, SweepConfig,
                         calibrate_epsilon, run_sweep, sample_channel)
-from .solver import ProblemInstance, SolverConfig, solve
+from .solver import ProblemInstance, SolverConfig, minmax_optimum, solve
 from .validation import run_all
 
 CSV_HEADER = ("gamma_db,beta,scheme,mean_power,ber,mi_bits_per_user,"
@@ -272,6 +272,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(str(exc), args.config) from exc
     solver_config = _solver_config(data, args.config)
     report = solve(instance, solver_config)
+    optimum = minmax_optimum(instance)[0]
 
     effective = {
         "n_t": n_t, "n_r": n_r, "modulation_order": order,
@@ -285,6 +286,8 @@ def cmd_solve(args) -> int:
                  "fixed_point_residual_max", "u", "t", "w", "trace"):
         key = "objective_trace" if name == "trace" else name
         doc[key] = np.asarray(getattr(report, name)).tolist()
+    doc["optimum"] = optimum
+    doc["optimality_gap"] = report.objective / optimum - 1.0
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -8,11 +8,12 @@ products never need permutation fix-ups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 
 def _as_complex(a, ndim: int) -> np.ndarray:
@@ -82,10 +83,19 @@ class RealChannel:
         return self.whitened(0.0)
 
     def whitened(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(L^{-1}, L^{-1} H) for the lower Cholesky factor L of
-        H H^T + delta I = L L^T, both C-contiguous."""
+        """(L^{-1}, L^{-1} H) for a lower-triangular L with
+        L L^T = H H^T + delta I, both C-contiguous.  L is the Cholesky
+        factor; where rounding leaves the sum indefinite (a rank-deficient H
+        at a delta > 0 below the rounding of H H^T), it is R^T of the QR
+        factorisation of [H^T; sqrt(delta) I], since R^T R is the same sum."""
         h = self.matrix
-        chol = cholesky(h @ h.T + delta * np.eye(len(h)), lower=True)
+        try:
+            chol = cholesky(h @ h.T + delta * np.eye(len(h)), lower=True)
+        except LinAlgError:
+            if not delta > 0:
+                raise
+            chol = np.linalg.qr(np.vstack([h.T, math.sqrt(delta) * np.eye(len(h))]),
+                                mode="r").T
         l_inv = np.ascontiguousarray(solve_triangular(chol, np.eye(len(h)), lower=True))
         return l_inv, l_inv @ h
 

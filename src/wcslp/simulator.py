@@ -11,7 +11,8 @@ design, scales by sqrt(gamma) to the other SNRs.  The robust designs of all
 slots are solved in one batch per beta, each row of the BCD starting at the
 slack of its exact min-max design (``design_batch`` at delta = 1/beta), which
 is solved once per block and beta at the smallest SNR and scaled by
-sqrt(gamma) in the same way; ``wcslp solve`` starts its one row at t = 0.
+sqrt(gamma) in the same way (``wcslp solve`` starts its one row at the same
+t*, solved for its own SNR).
 The signals go through the block's channel with additive receiver noise, and
 single-user ML detection runs at each receiver, for every cell of the block
 in one stacked tally.  A cell's rate is the mean of its users' plug-in MI

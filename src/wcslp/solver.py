@@ -33,8 +33,11 @@ end of each block, for Phi(t).
 
 :func:`design_batch` solves the hard-CI design of every slot of a block in
 closed form up to one NNLS per slot: at delta = 0 it is the nominal design
-(:func:`nominal_slp`), at delta = 1/beta the slack of the exact min-max
-design, where the link simulator starts the loop's rows.
+(:func:`nominal_slp`), at delta = 1/beta the slack t* of the exact min-max
+design, where the loop starts unless given another start (the link
+simulator passes t* solved once per block and scaled across its SNRs).
+:func:`minmax_optimum` reads that design's worst-case value F*, the
+certificate every design's worst case is measured against.
 """
 
 from __future__ import annotations
@@ -293,9 +296,10 @@ def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
          trace: list | None = None, start: np.ndarray | None = None) -> BatchSolveResult:
     """The block coordinate ascent-descent loop over the slots of a geometry.
 
-    Each row starts from t = z = t_0, its row of ``start`` (0 when
-    ``start`` is None, as for :func:`solve`; the link simulator passes the
-    exact min-max design's slack), and u_0 = G^{-1} P^{-1} H^T Phi(t_0), the
+    Each row starts from t = z = t_0, its row of ``start``: by default the
+    slack t* of its exact min-max design, :func:`design_batch` at
+    delta = 1/beta (the paper leaves the start open, and its t = 0 is an
+    explicit ``start`` of zeros), and u_0 = G^{-1} P^{-1} H^T Phi(t_0), the
     u-step's closed form at w = 0.  It then repeats the w-step, the
     t-step and the u-step until the relative change of (u, t) over a one- or
     two-iteration window drops below ``outer_tol``, and stops at the first
@@ -374,12 +378,11 @@ def _bcd(instance: ProblemInstance, geometry: CiGeometry, config: SolverConfig,
     # (both the initial point in the first block, which makes the
     # two-iteration window equal the one-iteration one at k = 1)
     u_buf, t_buf = np.empty((block + 2, count, n)), np.zeros((block + 2, count, m))
-    prod = _phi_product(instance, a_inv, ds, t_buf[0])[1]
-    k_phi = prod[:, 2 * n:]         # K D s
-    if start is not None:
-        t_buf[:2] = start
-        prod = _phi_product(instance, a_inv, ds, t_buf[0], instance.u_ops)[1]
-    u_buf[:2] = prod[:, n:2 * n]
+    k_phi = _phi_product(instance, a_inv, ds, t_buf[0])[1][:, 2 * n:]     # K D s
+    if start is None:
+        start = design_batch(instance.channel, geometry, 1.0 / instance.beta)[1]
+    t_buf[:2] = start
+    u_buf[:2] = _phi_product(instance, a_inv, ds, t_buf[0], instance.u_ops)[1][:, n:2 * n]
     # w_k, G^{-1} w_k and the constants c on a leading axis indexed by flip:
     # w_k = +-w_1 alternates with k
     w_pm = g_inv_w_pm = np.zeros((2, count, n))
@@ -465,6 +468,7 @@ def solve(instance: ProblemInstance, config: SolverConfig | None = None) -> Solv
 
     This is :func:`solve_batch` with a batch of one, plus the per-iteration
     ``trace`` and the worst-case ``objective`` of the result.  The loop
+    starts at the slack t* of the exact min-max design (:func:`_bcd`) and
     stops at the first iteration where the relative change of (u, t) over a
     one- or two-iteration window drops below ``outer_tol``; the test is
     evaluated per iteration, once per block of iterations (:func:`_bcd`).
@@ -494,12 +498,13 @@ def solve_batch(proto: ProblemInstance, geometry: CiGeometry,
     All slots share the channel, distortion matrix, beta and epsilon of
     ``proto``; ``geometry`` stacks their CI geometries.  Row j goes through
     the same update sequence as :func:`solve` on ``geometry[j]`` and leaves
-    the loop when its own termination test fires.  Every row starts at
-    t = 0, as :func:`solve` does, unless ``start`` gives each row's finite,
-    non-negative start slack (shaped as ``geometry.ds``).  The link simulator
-    calls it once per (block, gamma, beta) with the block's geometry,
-    starting each row at the slack of its exact min-max design
-    (:func:`design_batch` at delta = 1/beta).
+    the loop when its own termination test fires.  Every row starts at the
+    slack t* of its exact min-max design (:func:`design_batch` at
+    delta = 1/beta), as :func:`solve` does, unless ``start`` gives each
+    row's finite, non-negative start slack (shaped as ``geometry.ds``; zeros
+    for the paper's t = 0).  The link simulator calls it once per (block,
+    gamma, beta) with the block's geometry and its own t*, solved at the
+    grid's smallest gamma and scaled by sqrt(gamma).
     """
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -543,6 +548,25 @@ def design_batch(channel: RealChannel, geometry: CiGeometry, delta: float
         t[slot, :, 0] = nnls(design[slot], target[slot])[0]
     x = l_inv_h.T @ (design @ t - target)
     return x.reshape(shape[:-1] + (-1,)), t.reshape(shape)
+
+
+def minmax_optimum(instance: ProblemInstance) -> tuple[float, np.ndarray, np.ndarray]:
+    """The exact min-max design of an instance's relaxed problem and its
+    worst-case value, (F*, u*, t*).
+
+    For fixed t the inner maximum is smallest at G u = x, the minimiser
+    x = H^T (H H^T + I/beta)^{-1} Phi(t) of the penalised objective, where it
+    is Phi(t)^T (H H^T + I/beta)^{-1} Phi(t) + beta eps^2 lam_max(P) (the
+    maximiser is either of +-eps v_top); t* minimises the first term over
+    t >= 0, which is :func:`design_batch` at delta = 1/beta, and u* = G^{-1} x.
+    The first term of F* is read at x as ||x||^2 + beta ||H x - Phi(t*)||^2,
+    the penalised objective's minimum.
+    """
+    x, t = design_batch(instance.channel, instance.geometry, 1.0 / instance.beta)
+    resid = instance.h @ x - phi(t, instance.geometry)
+    f_star = float(x @ x + instance.beta * (resid @ resid
+                                            + instance.epsilon ** 2 * instance.lam_bar_max))
+    return f_star, instance.solve_g(x), t
 
 
 def nominal_slp(channel: RealChannel, geometry: CiGeometry

@@ -1,16 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criterion 4 is known-red: with the precoder update at its closed form, the
-slack update reduces to a gradient step whose effective size shrinks like
-1/beta (measured contraction ~1e-6 per iteration at beta = 1e6), so the
-iteration cannot reach the joint optimum within any practical budget at that
-penalty.  The test states the criterion faithfully and fails honestly.
-``test_formulation_limit_oracle`` shows that the power of the relaxed
-problem's optimum reaches the nominal baseline, so the power half of the
-failure lies in the iteration.  The margin half does not: that optimum itself
-misses the -1e-6 margin floor on 48 of the 50 instances (minimum margin
--4.6e-5, a miss that shrinks like 1/beta), and the oracle test checks power
-only.
+Criterion 4 is known-red on its margin half only.  Its power half passes:
+the loop starts at the slack of the exact min-max design and stops within
+1e-3 of the nominal baseline's power on all 50 instances, as
+``test_formulation_limit_oracle`` finds the relaxed problem's optimum does.
+The margin half fails for the stated problem itself: that optimum misses the
+-1e-6 margin floor on 48 of the 50 instances (minimum margin -4.6e-5, a miss
+that shrinks like 1/beta), and so do the loop's designs.  The test states the
+criterion faithfully and fails honestly.
 """
 
 import math
@@ -93,10 +90,10 @@ def test_formulation_limit_oracle():
     # Independent oracle for the beta -> inf, eps -> 0 limit: minimising
     # Phi(t)^T (H H^T + I/beta)^{-1} Phi(t) over t >= 0 (the exact reduced
     # form of the relaxed problem after eliminating u) matches the nominal
-    # baseline power within 1e-3.  This checks power only: it places the
-    # power half of the criterion-4 failure in the iteration.  The margin half
-    # it does not check, and that optimum misses criterion 4's -1e-6 floor on
-    # 48 of these 50 instances.
+    # baseline power within 1e-3, as criterion 4's power half does.  This
+    # checks power only.  Only criterion 4's margin half fails, and for the
+    # problem itself: this optimum misses its -1e-6 floor on 48 of these 50
+    # instances.
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(50):

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import wcslp.cli as cli
 from wcslp.cli import main
@@ -165,6 +167,31 @@ def test_solve_report(solve_config, tmp_path):
     assert len(doc["objective_trace"]) == doc["iterations"] >= 1
     assert doc["config"]["beta"] == 10.0
     assert len(doc["u"]) == 6
+
+
+def test_solve_report_optimality_gap(tmp_path, monkeypatch, oracle_module):
+    # the report's optimum and gap, against the independent oracle's F* and
+    # its worst case of the reported design; at beta = 1e4 the loop's design
+    # stays about 4x the min-max optimum
+    instances = []
+
+    def recording(instance, config, _solve=cli.solve):
+        instances.append(instance)
+        return _solve(instance, config)
+    monkeypatch.setattr(cli, "solve", recording)
+    path = tmp_path / "s.ini"
+    path.write_text(SOLVE_INI.replace("beta = 10.0", "beta = 1e4"))
+    out = tmp_path / "r.json"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) in (0, 2)
+    doc = json.loads(out.read_text())
+    inst, = instances
+    oracle = oracle_module.MinMaxOracle(inst.h, inst.g, inst.beta, inst.epsilon)
+    a_inv = block_diag(*inst.geometry.a_inv_blocks)
+    f_star = oracle.optimum(inst.ds, a_inv)[0]
+    worst = oracle.worst_case(np.array(doc["u"]), np.array(doc["t"]), inst.ds, a_inv)[0]
+    assert doc["optimum"] == pytest.approx(f_star, rel=1e-12)
+    assert doc["optimality_gap"] == pytest.approx(worst / f_star - 1.0, rel=1e-9)
+    assert 2.0 < doc["optimality_gap"] < 4.0
 
 
 def test_solve_eps_zero_w_is_zero(tmp_path):

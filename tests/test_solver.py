@@ -1,7 +1,5 @@
-import importlib.util
 import math
 from dataclasses import fields
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -681,7 +679,8 @@ def test_loop_residual_is_the_closed_form(n):
 def _every_iteration(monkeypatch, run):
     """``run()`` with the stopping test evaluated after every iteration, at
     every batch size: one block end (a ``_phi_product`` call) per iteration
-    of the longest-running row, after the setup's call."""
+    of the longest-running row, after the setup's two calls (K D s, and u_0
+    at the start slack)."""
     calls = [0]
 
     def counted(*args, _original=solver_module._phi_product):
@@ -692,7 +691,7 @@ def _every_iteration(monkeypatch, run):
         patch.setattr(solver_module, "_LONG_BLOCK", 1)
         patch.setattr(solver_module, "_phi_product", counted)
         res = run()
-    assert calls[0] == 1 + np.max(res.iterations)
+    assert calls[0] == 2 + np.max(res.iterations)
     return res
 
 
@@ -778,12 +777,13 @@ def test_loop_equals_the_reference_loop():
                 for random_g in (False, True):
                     inst = random_instance(rng, 4, beta=beta, eps=eps, order=order,
                                            random_g=random_g)
+                    t0 = design_batch(inst.channel, inst.geometry, 1.0 / beta)[1]
                     for budget in (1, 2, 16, 17):
                         for tol in (1e-2, 1e-8):
                             cfg = SolverConfig(max_iterations=budget, outer_tol=tol)
                             rep = solve(inst, cfg)
                             u, t, w, iterations, converged, limit_cycle = \
-                                _reference_loop(inst, cfg)
+                                _reference_loop(inst, cfg, t0)
                             what = f"{order} {eps} {beta} {random_g} {budget} {tol}"
                             assert (rep.iterations, rep.converged, rep.limit_cycle) == \
                                 (iterations, converged, limit_cycle), what
@@ -827,9 +827,8 @@ def test_warm_started_batch_equals_the_reference_loop(order):
                         inst = ProblemInstance(proto.channel, proto.distortion, geom, beta, eps)
                         want = SimpleNamespace(**dict(zip(_RUN, _reference_loop(inst, cfg,
                                                                                 t0[j]))))
-                        got = SimpleNamespace(**{name: getattr(batch, name)[j]
-                                                 for name in _RUN})
-                        _assert_same_run(got, want, f"{eps} {beta} {budget} {tol} row {j}")
+                        _assert_same_run(_row(batch, j), want,
+                                         f"{eps} {beta} {budget} {tol} row {j}")
                         outcomes.add(want.converged)
     assert outcomes == {True, False}
 
@@ -844,20 +843,10 @@ def test_solve_batch_rejects_a_bad_start():
             solve_batch(proto, geoms, SolverConfig(max_iterations=3), start=start)
 
 
-def _oracle():
-    """perfbench's independent min-max oracle module, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_design_batch_slack_gives_the_min_max_optimum():
+def test_design_batch_slack_gives_the_min_max_optimum(oracle_module):
     # at delta = 1/beta the kernel's t* is the exact min-max design's slack:
     # F* = Phi(t*)^T (H H^T + I/beta)^{-1} Phi(t*) + beta eps^2 lam_max(P)
     # equals the oracle's optimum
-    oracle_module = _oracle()
     rng = np.random.default_rng(58)
     checked = 0
     for n in (2, 4, 8):
@@ -963,23 +952,32 @@ def test_loop_equals_the_reference_loop_on_long_budgets(order):
             for random_g in (False, True):
                 inst = random_instance(rng, 4, beta=beta, eps=eps, order=order,
                                        random_g=random_g)
+                t0 = design_batch(inst.channel, inst.geometry, 1.0 / beta)[1]
                 for budget in (200, 2000):
                     cfg = SolverConfig(max_iterations=budget, outer_tol=1e-8)
-                    want = SimpleNamespace(**dict(zip(_RUN, _reference_loop(inst, cfg))))
+                    want = SimpleNamespace(**dict(zip(_RUN, _reference_loop(inst, cfg, t0))))
                     report = solve(inst, cfg)
                     _assert_same_run(report, want, f"{eps} {beta} {random_g} {budget}")
                     outcomes.add(report.stop_reason)
     assert outcomes == {"tolerance", "two_cycle", "budget"}
 
 
+def _row(res, j=0):
+    """Row j of a :class:`BatchSolveResult`, as the run outcome
+    :func:`_assert_same_run` reads."""
+    return SimpleNamespace(**{name: getattr(res, name)[j] for name in _RUN})
+
+
 def test_block_stop_equals_the_every_iteration_stop_on_a_long_run(monkeypatch):
-    # a row whose slack settles over many blocks
+    # a row whose slack settles over many blocks, from the paper's t = 0
     inst = random_instance(np.random.default_rng(1), 4, beta=100.0, eps=0.56)
     cfg = SolverConfig(max_iterations=2000, outer_tol=1e-8)
-    every = _every_iteration(monkeypatch, lambda: solve(inst, cfg))
-    report = solve(inst, cfg)
+    zeros = np.zeros_like(inst.ds)
+    every = _every_iteration(monkeypatch,
+                             lambda: solve_batch(inst, inst.geometry, cfg, start=zeros))
+    report = _row(solve_batch(inst, inst.geometry, cfg, start=zeros))
     assert report.iterations > 4 * solver_module._LONG_BLOCK
-    _assert_same_run(report, every, "blocked against every iteration")
+    _assert_same_run(report, _row(every), "blocked against every iteration")
 
 
 def test_small_batch_equals_alone_on_long_budgets():
@@ -992,5 +990,78 @@ def test_small_batch_equals_alone_on_long_budgets():
     for j, geom in enumerate(geoms):
         alone = solve(ProblemInstance(proto.channel, proto.distortion, geom,
                                       proto.beta, proto.epsilon), cfg)
-        _assert_same_run(alone, SimpleNamespace(**{name: getattr(batch, name)[j]
-                                                   for name in _RUN}), f"row {j}")
+        _assert_same_run(alone, _row(batch, j), f"row {j}")
+
+
+def test_solve_is_its_one_slot_batch_from_the_exact_designs_slack():
+    # solve and solve_batch both start at t* = design_batch(..., 1/beta)[1]
+    # when given no start, so solve equals its one-slot batch to the last
+    # bit, with and without t* passed explicitly
+    rng = np.random.default_rng(61)
+    for order in (4, 8):
+        for beta in (1.0, 100.0, 1e4):
+            for eps in (0.0, 0.56):
+                inst = random_instance(rng, 4, beta=beta, eps=eps, order=order, random_g=True)
+                t_star = design_batch(inst.channel, inst.geometry, 1.0 / beta)[1]
+                cfg = SolverConfig(max_iterations=300, outer_tol=1e-8)
+                report = solve(inst, cfg)
+                for start in (None, t_star):
+                    batch = solve_batch(inst, inst.geometry, cfg, start=start)
+                    for f in fields(BatchSolveResult):
+                        np.testing.assert_array_equal(
+                            getattr(report, f.name), getattr(batch, f.name)[0],
+                            err_msg=f"{order} {beta} {eps} {f.name} {start is None}")
+
+
+def test_minmax_optimum_equals_the_oracle(oracle_module):
+    # the library's certificate (F*, u*, t*) against perfbench's independent
+    # oracle: F* within 1e-12 relative
+    rng = np.random.default_rng(62)
+    checked = 0
+    for n in (1, 2, 4, 8):
+        for order in (4, 8):
+            for beta in (1.0, 100.0, 1e4, 1e6):
+                for eps in (0.0, 0.56):
+                    inst = random_instance(rng, n, beta=beta, eps=eps, order=order,
+                                           random_g=True)
+                    a_inv = block_diag(*inst.geometry.a_inv_blocks)
+                    oracle = oracle_module.MinMaxOracle(inst.h, inst.g, beta, eps)
+                    want, u_want, t_want = oracle.optimum(inst.ds, a_inv)
+                    f_star, u_star, t_star = solver_module.minmax_optimum(inst)
+                    what = f"{n} {order} {beta} {eps}"
+                    assert f_star == pytest.approx(want, rel=1e-12), what
+                    np.testing.assert_allclose(t_star, t_want, rtol=0,
+                                               atol=1e-9 * (1.0 + np.abs(t_want).max()),
+                                               err_msg=what)
+                    np.testing.assert_allclose(u_star, u_want, rtol=0,
+                                               atol=1e-9 * np.abs(u_want).max(), err_msg=what)
+                    # the certificate bounds every design's worst case from below
+                    report = solve(inst, SolverConfig(max_iterations=300, outer_tol=1e-6))
+                    assert report.objective >= f_star * (1.0 - 1e-12), what
+                    checked += 1
+    assert checked == 64
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e4, 1e8, 1e12, 1e15])
+def test_solve_on_a_rank_deficient_channel(beta):
+    # two users with equal channel rows make H H^T singular; solve factors
+    # H H^T + I/beta for its start, whose rounding can leave the sum
+    # indefinite at beta = 1e15, where the factor comes from a QR instead
+    g = build_real_distortion(np.eye(4, dtype=complex))
+    geom = build_ci_geometry([0, 1, 2], 10.0, 1.0, QPSK)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        h = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))) / math.sqrt(2)
+        h[1] = h[0]
+        chan = build_real_channel(h)
+        l_inv = chan.whitened(1.0 / beta)[0]
+        assert np.array_equal(l_inv, np.tril(l_inv))
+        factor = np.linalg.inv(l_inv)
+        gram = chan.matrix @ chan.matrix.T + np.eye(6) / beta
+        np.testing.assert_allclose(factor @ factor.T, gram, rtol=0,
+                                   atol=1e-13 * np.abs(gram).max(), err_msg=f"{seed}")
+        for eps in (0.0, 0.56):
+            report = solve(ProblemInstance(chan, g, geom, beta, eps))
+            assert report.converged, (seed, eps)
+            assert np.all(np.isfinite(report.u)) and report.t.min() >= 0
+            assert np.isfinite(report.objective)
